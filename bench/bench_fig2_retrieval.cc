@@ -32,23 +32,7 @@ void BM_RetrieveTwoStep(benchmark::State& state) {
   }
   state.SetLabel(StrFormat("%zu shots", scale.catalog.num_shots()));
 }
-BENCHMARK(BM_RetrieveTwoStep)->Arg(10)->Arg(25)->Arg(54)->Arg(100);
-
-void BM_RetrieveTwoStepParallel(benchmark::State& state) {
-  const Scale scale = MakeScale(static_cast<int>(state.range(0)));
-  TraversalOptions options;
-  options.num_threads = static_cast<int>(state.range(1));
-  HmmmTraversal traversal(scale.model, scale.catalog, options);
-  const auto pattern = TemporalPattern::FromEvents({2, 0});
-  for (auto _ : state) {
-    auto results = traversal.Retrieve(pattern);
-    benchmark::DoNotOptimize(results);
-  }
-  state.SetLabel(StrFormat("%zu shots", scale.catalog.num_shots()));
-}
-BENCHMARK(BM_RetrieveTwoStepParallel)
-    ->ArgsProduct({{54, 200}, {1, 2, 4, 8}})
-    ->ArgNames({"videos", "threads"});
+BENCHMARK(BM_RetrieveTwoStep)->Arg(10)->Arg(25)->Arg(54)->Arg(100)->Arg(200);
 
 void BM_QueryCompile(benchmark::State& state) {
   const EventVocabulary vocab = SoccerEvents();
@@ -127,65 +111,15 @@ void PrintMemoTable() {
       "per-walk memo collapses that to once per pair.\n");
 }
 
-bool SameRanking(const std::vector<RetrievedPattern>& a,
-                 const std::vector<RetrievedPattern>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].shots != b[i].shots || a[i].score != b[i].score ||
-        a[i].video != b[i].video || a[i].edge_weights != b[i].edge_weights) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void PrintThreadSweepTable() {
-  Banner("Parallel retrieval: per-video fan-out vs thread count (200 videos)");
-  Row({"threads", "latency ms", "speedup", "identical ranking"});
-  const Scale scale = MakeScale(200);
-  const auto pattern = TemporalPattern::FromEvents({2, 0});
-
-  HmmmTraversal serial(scale.model, scale.catalog);
-  auto reference = serial.Retrieve(pattern);
-  HMMM_CHECK(reference.ok());
-  double serial_ms = 0.0;
-
-  for (int threads : {1, 2, 4, 8}) {
-    TraversalOptions options;
-    options.num_threads = threads;
-    HmmmTraversal traversal(scale.model, scale.catalog, options);
-    std::vector<RetrievedPattern> results;
-    const double ms = MedianMillis([&] {
-      auto retrieved = traversal.Retrieve(pattern);
-      HMMM_CHECK(retrieved.ok());
-      results = std::move(retrieved).value();
-    });
-    if (threads == 1) serial_ms = ms;
-    Row({StrFormat("%2d", threads), Fmt("%8.3f", ms),
-         Fmt("%5.2fx", ms > 0.0 ? serial_ms / ms : 0.0),
-         SameRanking(*reference, results) ? "yes" : "NO"});
-  }
-  std::printf(
-      "\nEach candidate video's shot-level lattice walk (Steps 3-5) is\n"
-      "independent given the Step-2 video order, so videos shard across\n"
-      "a fixed-size pool; per-worker top-K heaps merge under a (score,\n"
-      "video-order) total order, keeping the ranking byte-identical to\n"
-      "the serial walk at every thread count.\n");
-}
-
-/// Machine-readable companion to the tables above: per-thread-count
-/// median traversal latency plus a full engine metrics snapshot (query
-/// latency histogram, cache hit/miss counters, pool gauges) taken after a
-/// warm query loop — 1 cache miss followed by 7 hits per thread count —
-/// a beam sweep quantifying the Eq.-15 memo, and the query-plan layer's
-/// build costs (model-tier index, per-query plan).
+/// Machine-readable companion to the tables above: the median traversal
+/// latency of the paper query plus a full engine metrics snapshot (query
+/// latency histogram, cache hit/miss counters, model gauge) taken after a
+/// warm query loop — 1 cache miss followed by 7 hits — a beam sweep
+/// quantifying the Eq.-15 memo, and the query-plan layer's build costs
+/// (model-tier index, per-query plan).
 void WriteFig2Json() {
   const Scale scale = MakeScale(54);  // the paper's archive size
   const auto pattern = TemporalPattern::FromEvents({2, 0});
-
-  HmmmTraversal serial(scale.model, scale.catalog);
-  auto reference = serial.Retrieve(pattern);
-  HMMM_CHECK(reference.ok());
 
   // Model-tier index build: once per model version, amortized over every
   // query until feedback training bumps the version.
@@ -242,43 +176,28 @@ void WriteFig2Json() {
     }));
   }
 
-  double serial_ms = 0.0;
-  std::vector<std::string> sweep;
-  for (int threads : {1, 2, 4, 8}) {
-    TraversalOptions options;
-    options.num_threads = threads;
-    HmmmTraversal traversal(scale.model, scale.catalog, options);
-    std::vector<RetrievedPattern> results;
-    RetrievalStats stats;
-    const double ms = MedianMillis([&] {
-      stats = RetrievalStats();
-      auto retrieved = traversal.Retrieve(pattern, &stats);
-      HMMM_CHECK(retrieved.ok());
-      results = std::move(retrieved).value();
-    });
-    if (threads == 1) serial_ms = ms;
-
-    RetrievalEngine engine(scale.catalog, scale.model, options);
-    for (int i = 0; i < 8; ++i) {
-      HMMM_CHECK(engine.Retrieve(pattern).ok());
-    }
-    sweep.push_back(JsonObject({
-        {"threads", JsonNumber(threads)},
-        {"median_traversal_ms", JsonNumber(ms)},
-        {"speedup", JsonNumber(ms > 0.0 ? serial_ms / ms : 0.0)},
-        {"identical_ranking", JsonBool(SameRanking(*reference, results))},
-        {"sim_evaluations",
-         JsonNumber(static_cast<double>(stats.sim_evaluations))},
-        {"sim_memo_hits",
-         JsonNumber(static_cast<double>(stats.sim_memo_hits))},
-        {"candidate_list_reuse",
-         JsonNumber(static_cast<double>(stats.candidate_list_reuse))},
-        {"heap_pops", JsonNumber(static_cast<double>(stats.heap_pops))},
-        {"grid_cells_skipped",
-         JsonNumber(static_cast<double>(stats.grid_cells_skipped))},
-        {"metrics", engine.DumpMetricsJson()},
-    }));
+  HmmmTraversal traversal(scale.model, scale.catalog);
+  RetrievalStats stats;
+  const double traversal_ms = MedianMillis([&] {
+    stats = RetrievalStats();
+    HMMM_CHECK(traversal.Retrieve(pattern, &stats).ok());
+  });
+  RetrievalEngine engine(scale.catalog, scale.model);
+  for (int i = 0; i < 8; ++i) {
+    HMMM_CHECK(engine.Retrieve(pattern).ok());
   }
+  const std::string traversal_json = JsonObject({
+      {"median_traversal_ms", JsonNumber(traversal_ms)},
+      {"sim_evaluations",
+       JsonNumber(static_cast<double>(stats.sim_evaluations))},
+      {"sim_memo_hits", JsonNumber(static_cast<double>(stats.sim_memo_hits))},
+      {"candidate_list_reuse",
+       JsonNumber(static_cast<double>(stats.candidate_list_reuse))},
+      {"heap_pops", JsonNumber(static_cast<double>(stats.heap_pops))},
+      {"grid_cells_skipped",
+       JsonNumber(static_cast<double>(stats.grid_cells_skipped))},
+      {"metrics", engine.DumpMetricsJson()},
+  });
 
   WriteBenchJson(
       "BENCH_fig2.json",
@@ -292,11 +211,11 @@ void WriteFig2Json() {
            JsonNumber(static_cast<double>(scale.catalog.num_annotated_shots()))},
           {"model_index_build_ms", JsonNumber(index_build_ms)},
           {"plan_build_ms", JsonNumber(plan_build_ms)},
-          {"warm_queries_per_thread_count", JsonNumber(8)},
+          {"warm_queries", JsonNumber(8)},
           {"beam_sweep_query",
            JsonQuote("free_kick ; goal ; corner_kick ; player_change")},
           {"beam_sweep", JsonArray(beams)},
-          {"thread_sweep", JsonArray(sweep)},
+          {"traversal", traversal_json},
       }));
 }
 
@@ -308,7 +227,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   hmmm::bench::PrintFlowchartTable();
   hmmm::bench::PrintMemoTable();
-  hmmm::bench::PrintThreadSweepTable();
   hmmm::bench::WriteFig2Json();
   return 0;
 }

@@ -38,7 +38,6 @@ TemporalPattern PatternOfLength(size_t c) {
 void BM_LatticeTraversal(benchmark::State& state) {
   TraversalOptions options;
   options.beam_width = static_cast<int>(state.range(1));
-  options.num_threads = static_cast<int>(state.range(2));
   HmmmTraversal traversal(Model(), Catalog(), options);
   const auto pattern = PatternOfLength(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -47,8 +46,8 @@ void BM_LatticeTraversal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LatticeTraversal)
-    ->ArgsProduct({{1, 2, 3, 4}, {1, 4}, {1, 4}})
-    ->ArgNames({"C", "beam", "threads"});
+    ->ArgsProduct({{1, 2, 3, 4}, {1, 4}})
+    ->ArgNames({"C", "beam"});
 
 void PrintLatticeTable() {
   Banner("Figure 3 (reproduced): lattice traversal vs pattern length & beam");
@@ -93,42 +92,9 @@ void PrintLatticeTable() {
               "(see bench_ablation_baselines for that comparison).\n");
 }
 
-void PrintThreadSweepTable() {
-  Banner("Lattice traversal: thread sweep at C=4 (beam 4)");
-  Row({"threads", "latency ms", "speedup", "identical ranking"});
-  const auto pattern = PatternOfLength(4);
-  TraversalOptions serial_options;
-  serial_options.beam_width = 4;
-  HmmmTraversal serial(Model(), Catalog(), serial_options);
-  auto reference = serial.Retrieve(pattern);
-  HMMM_CHECK(reference.ok());
-  double serial_ms = 0.0;
-
-  for (int threads : {1, 2, 4, 8}) {
-    TraversalOptions options = serial_options;
-    options.num_threads = threads;
-    HmmmTraversal traversal(Model(), Catalog(), options);
-    std::vector<RetrievedPattern> results;
-    const double ms = MedianMillis([&] {
-      auto retrieved = traversal.Retrieve(pattern);
-      HMMM_CHECK(retrieved.ok());
-      results = std::move(retrieved).value();
-    });
-    if (threads == 1) serial_ms = ms;
-    bool identical = results.size() == reference->size();
-    for (size_t i = 0; identical && i < results.size(); ++i) {
-      identical = results[i].shots == (*reference)[i].shots &&
-                  results[i].score == (*reference)[i].score;
-    }
-    Row({StrFormat("%2d", threads), Fmt("%8.3f", ms),
-         Fmt("%5.2fx", ms > 0.0 ? serial_ms / ms : 0.0),
-         identical ? "yes" : "NO"});
-  }
-}
-
-/// Machine-readable companion: the C x beam lattice sweep, a per-thread-
-/// count latency sweep with engine metrics snapshots, and one serial
-/// trace sample showing the phase structure of a C=4 walk.
+/// Machine-readable companion: the C x beam lattice sweep, an engine
+/// metrics snapshot after a warm C=4 query loop, and one trace sample
+/// showing the phase structure of a C=4 walk.
 void WriteFig3Json() {
   std::vector<std::string> lattice;
   for (size_t c : {1u, 2u, 3u, 4u}) {
@@ -169,30 +135,14 @@ void WriteFig3Json() {
     }
   }
 
+  // The C=4, beam-4 latency is the lattice sweep's entry; the engine
+  // snapshot records 1 cache miss followed by 7 hits.
   const auto pattern = PatternOfLength(4);
-  double serial_ms = 0.0;
-  std::vector<std::string> sweep;
-  for (int threads : {1, 2, 4, 8}) {
-    TraversalOptions options;
-    options.beam_width = 4;
-    options.num_threads = threads;
-    HmmmTraversal traversal(Model(), Catalog(), options);
-    const double ms = MedianMillis([&] {
-      auto results = traversal.Retrieve(pattern);
-      HMMM_CHECK(results.ok());
-    });
-    if (threads == 1) serial_ms = ms;
-
-    RetrievalEngine engine(Catalog(), Model(), options);
-    for (int i = 0; i < 8; ++i) {
-      HMMM_CHECK(engine.Retrieve(pattern).ok());
-    }
-    sweep.push_back(JsonObject({
-        {"threads", JsonNumber(threads)},
-        {"median_traversal_ms", JsonNumber(ms)},
-        {"speedup", JsonNumber(ms > 0.0 ? serial_ms / ms : 0.0)},
-        {"metrics", engine.DumpMetricsJson()},
-    }));
+  TraversalOptions engine_options;
+  engine_options.beam_width = 4;
+  RetrievalEngine engine(Catalog(), Model(), engine_options);
+  for (int i = 0; i < 8; ++i) {
+    HMMM_CHECK(engine.Retrieve(pattern).ok());
   }
 
   QueryTrace trace;
@@ -226,8 +176,7 @@ void WriteFig3Json() {
       });
       TraversalOptions options = ab_options;
       options.scorer.force_scalar_kernel = force_scalar;
-      HmmmTraversal traversal(Model(), Catalog(), options, /*pool=*/nullptr,
-                              index.get());
+      HmmmTraversal traversal(Model(), Catalog(), options, index.get());
       RetrievalStats stats;
       std::vector<RetrievedPattern> ranking;
       const double ms = MedianMillis([&] {
@@ -270,7 +219,7 @@ void WriteFig3Json() {
           {"kernel", JsonQuote(Eq14KernelName(DefaultEq14Kernel()))},
           {"plan_build_ms", JsonNumber(plan_build_ms)},
           {"lattice_sweep", JsonArray(lattice)},
-          {"thread_sweep", JsonArray(sweep)},
+          {"metrics", engine.DumpMetricsJson()},
           {"kernel_ab", JsonArray(kernel_ab)},
           {"trace_sample", JsonlToArray(trace.RenderJsonl())},
       }));
@@ -283,7 +232,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   hmmm::bench::PrintLatticeTable();
-  hmmm::bench::PrintThreadSweepTable();
   hmmm::bench::WriteFig3Json();
   return 0;
 }

@@ -30,14 +30,15 @@ struct VideoDatabase::Admission {
 };
 
 VideoDatabase::VideoDatabase(VideoCatalog catalog, HierarchicalModel model,
-                             VideoDatabaseOptions options)
+                             VideoDatabaseOptions options,
+                             std::unique_ptr<MetricsRegistry> metrics)
     : options_(std::move(options)),
       catalog_(std::make_unique<VideoCatalog>(std::move(catalog))),
       model_(std::make_unique<HierarchicalModel>(std::move(model))),
-      metrics_(std::make_unique<MetricsRegistry>()),
+      metrics_(metrics != nullptr ? std::move(metrics)
+                                  : std::make_unique<MetricsRegistry>()),
       trainer_(std::make_unique<FeedbackTrainer>(*catalog_,
                                                  options_.feedback)),
-      pool_(MakeThreadPool(options_.traversal.num_threads)),
       state_mutex_(std::make_unique<std::shared_mutex>()),
       admission_(std::make_unique<Admission>()) {
   admission_->options = options_.admission;
@@ -102,8 +103,14 @@ StatusOr<VideoDatabase> VideoDatabase::Open(const std::string& catalog_path,
 StatusOr<VideoDatabase> VideoDatabase::OpenSnapshot(
     const std::string& path, VideoDatabaseOptions options,
     const SnapshotOptions& snapshot_options) {
+  // Without a caller-supplied sink the open records its hmmm_snapshot_*
+  // metrics into the registry the database then owns, so a serving
+  // daemon's scrape reports them.
+  auto metrics = std::make_unique<MetricsRegistry>();
+  SnapshotOptions open_options = snapshot_options;
+  if (open_options.metrics == nullptr) open_options.metrics = metrics.get();
   HMMM_ASSIGN_OR_RETURN(std::unique_ptr<SnapshotReader> reader,
-                        SnapshotReader::Open(path, snapshot_options));
+                        SnapshotReader::Open(path, open_options));
   HMMM_ASSIGN_OR_RETURN(VideoCatalog catalog, reader->BuildCatalog());
   HMMM_ASSIGN_OR_RETURN(HierarchicalModel model, reader->BuildModel());
   // The same agreement checks Open() runs on a blob pair; the full
@@ -117,7 +124,8 @@ StatusOr<VideoDatabase> VideoDatabase::OpenSnapshot(
     return Status::FailedPrecondition(
         "snapshot model and catalog disagree on annotated shots");
   }
-  VideoDatabase db(std::move(catalog), std::move(model), std::move(options));
+  VideoDatabase db(std::move(catalog), std::move(model), std::move(options),
+                   std::move(metrics));
   if (reader->has_event_index()) {
     HMMM_ASSIGN_OR_RETURN(EventBitmapIndex index,
                           reader->BuildEventIndex(*db.model_, *db.catalog_));
@@ -248,11 +256,10 @@ StatusOr<std::vector<RetrievedPattern>> VideoDatabase::Retrieve(
       [&](RetrievalStats* computed) -> StatusOr<std::vector<RetrievedPattern>> {
     if (categories_.has_value()) {
       ThreeLevelTraversal traversal(*model_, *catalog_, *categories_,
-                                    traversal_options, pool_.get(), prebuilt);
+                                    traversal_options, prebuilt);
       return traversal.Retrieve(pattern, computed);
     }
-    HmmmTraversal traversal(*model_, *catalog_, traversal_options,
-                            pool_.get(), prebuilt);
+    HmmmTraversal traversal(*model_, *catalog_, traversal_options, prebuilt);
     return traversal.Retrieve(pattern, computed);
   };
 
@@ -440,20 +447,6 @@ void VideoDatabase::RefreshResourceGauges() const {
       ->GetGauge("hmmm_model_version",
                  "model version counter; bumps on feedback training")
       ->Set(static_cast<double>(model_->version()));
-  const ThreadPoolStats pool =
-      pool_ != nullptr ? pool_->stats() : ThreadPoolStats{};
-  metrics_->GetGauge("hmmm_pool_workers", "worker threads in the fan-out pool")
-      ->Set(static_cast<double>(pool.workers));
-  metrics_->GetGauge("hmmm_pool_queue_depth", "tasks currently queued")
-      ->Set(static_cast<double>(pool.queue_depth));
-  metrics_
-      ->GetGauge("hmmm_pool_tasks_executed",
-                 "tasks completed since pool construction")
-      ->Set(static_cast<double>(pool.tasks_executed));
-  metrics_
-      ->GetGauge("hmmm_pool_busy_ms",
-                 "summed wall time workers spent inside tasks")
-      ->Set(pool.busy_ms);
 }
 
 std::string VideoDatabase::DumpMetrics() const {

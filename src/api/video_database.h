@@ -24,9 +24,7 @@ namespace hmmm {
 /// Options bundle for a VideoDatabase instance.
 struct VideoDatabaseOptions {
   ModelBuilderOptions builder;
-  /// traversal.num_threads sizes a worker pool owned by the database and
-  /// shared by every query's per-video fan-out (1 = serial, 0 = one per
-  /// hardware thread). Ranked results are identical at any thread count.
+  /// Every query runs on its calling thread (num_threads is a no-op).
   TraversalOptions traversal;
   FeedbackTrainerOptions feedback;
   /// Build and use the third (video-category) level for Step-2 pruning.
@@ -85,7 +83,9 @@ class VideoDatabase {
   /// index is adopted so no Eq.-14 sweep runs at open. Cold-start cost is
   /// O(shot records), independent of feature/matrix volume. Queries
   /// return byte-identical rankings to a blob-opened database; training
-  /// works too (mutated matrices copy to the heap on first write).
+  /// works too (mutated matrices copy to the heap on first write). When
+  /// `snapshot_options.metrics` is null, the open's hmmm_snapshot_*
+  /// metrics go to the database's own registry.
   static StatusOr<VideoDatabase> OpenSnapshot(
       const std::string& path, VideoDatabaseOptions options = {},
       const SnapshotOptions& snapshot_options = {});
@@ -194,12 +194,13 @@ class VideoDatabase {
   }
 
   /// The database-owned metrics registry: query counters and latency
-  /// histogram, feedback-training metrics, pool/model resource gauges.
+  /// histogram, feedback-training metrics, snapshot-open metrics of a
+  /// snapshot-opened database, and the model-version gauge.
   /// Stable for the database's lifetime (also across moves).
   MetricsRegistry& metrics_registry() const { return *metrics_; }
 
   /// One-stop JSON snapshot of every registered metric, refreshing the
-  /// pool/model gauges first. The shape matches
+  /// model gauge first. The shape matches
   /// MetricsRegistry::RenderJson().
   std::string DumpMetrics() const;
   /// The same dump in Prometheus text exposition format.
@@ -233,10 +234,12 @@ class VideoDatabase {
   Status ReplaceCatalog(VideoCatalog catalog);
 
  private:
+  /// `metrics` = null starts an empty registry.
   VideoDatabase(VideoCatalog catalog, HierarchicalModel model,
-                VideoDatabaseOptions options);
+                VideoDatabaseOptions options,
+                std::unique_ptr<MetricsRegistry> metrics = nullptr);
 
-  /// Copies pool usage and the model version into registry gauges.
+  /// Copies the model version into a registry gauge.
   /// Caller holds state_mutex_ (shared suffices).
   void RefreshResourceGauges() const;
 
@@ -253,7 +256,6 @@ class VideoDatabase {
   std::unique_ptr<HierarchicalModel> model_;
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<FeedbackTrainer> trainer_;
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads resolves to 1
   std::optional<CategoryLevel> categories_;
   /// Readers-writer lock over catalog_/model_/categories_/trainer_:
   /// queries share, mutators (MarkPositive/Train/ReplaceCatalog) are

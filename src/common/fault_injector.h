@@ -21,9 +21,8 @@ struct FaultPointConfig {
   int64_t after_hits = -1;
   /// Fire when the call site's argument is >= this value (-1 = disabled).
   /// Sites pass a semantically meaningful index — e.g. the traversal
-  /// passes the Step-7 claim index, so a threshold of N simulates a
-  /// deadline firing exactly at video N, deterministically at any thread
-  /// count.
+  /// passes the Step-7 order index, so a threshold of N simulates a
+  /// deadline firing exactly at video N, deterministically.
   int64_t arg_threshold = -1;
   /// Stop firing after this many fires (-1 = unlimited). `max_fires = 1`
   /// models a transient error that a bounded retry should absorb.

@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -106,66 +105,6 @@ ThreadPoolStats ThreadPool::stats() const {
     stats.queue_depth = queue_.size();
   }
   return stats;
-}
-
-void ThreadPool::ParallelFor(
-    size_t n, size_t grain,
-    const std::function<void(int worker, size_t begin, size_t end)>& body) {
-  if (n == 0) return;
-  const size_t chunk = std::max<size_t>(1, grain);
-
-  // The caller blocks until `active` drains, so stack state outlives every
-  // task referencing it.
-  struct {
-    std::atomic<size_t> next{0};
-    std::mutex mutex;
-    std::condition_variable done;
-    size_t active = 0;
-    std::exception_ptr first_exception;
-  } state;
-
-  const size_t num_chunks = (n + chunk - 1) / chunk;
-  const int fanout = static_cast<int>(
-      std::min(static_cast<size_t>(size()), num_chunks));
-  state.active = static_cast<size_t>(fanout);
-  for (int worker = 0; worker < fanout; ++worker) {
-    Submit([&state, &body, worker, n, chunk] {
-      // A throwing body stops this worker's claim loop; the exception is
-      // parked for the caller and `active` still drains, so the caller
-      // never deadlocks. Other workers keep claiming the remaining
-      // chunks — the caller treats the whole ParallelFor as failed once
-      // the rethrow happens, so the extra work is at worst wasted.
-      try {
-        for (;;) {
-          const size_t begin =
-              state.next.fetch_add(chunk, std::memory_order_relaxed);
-          if (begin >= n) break;
-          if (HMMM_FAULT_FIRED("threadpool.task")) {
-            throw std::runtime_error("injected fault: threadpool.task");
-          }
-          body(worker, begin, std::min(n, begin + chunk));
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        if (state.first_exception == nullptr) {
-          state.first_exception = std::current_exception();
-        }
-      }
-      std::lock_guard<std::mutex> lock(state.mutex);
-      if (--state.active == 0) state.done.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(state.mutex);
-  state.done.wait(lock, [&state] { return state.active == 0; });
-  if (state.first_exception != nullptr) {
-    std::rethrow_exception(state.first_exception);
-  }
-}
-
-std::unique_ptr<ThreadPool> MakeThreadPool(int num_threads) {
-  const int resolved = ThreadPool::ResolveThreadCount(num_threads);
-  if (resolved <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(resolved);
 }
 
 }  // namespace hmmm

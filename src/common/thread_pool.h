@@ -15,8 +15,7 @@
 
 namespace hmmm {
 
-/// Point-in-time usage snapshot of a ThreadPool, exported into a
-/// MetricsRegistry by the serving layers (the pool itself stays below the
+/// Point-in-time usage snapshot of a ThreadPool (the pool stays below the
 /// observability library in the dependency order, so it only keeps cheap
 /// internal atomics).
 struct ThreadPoolStats {
@@ -37,8 +36,6 @@ struct ThreadPoolStats {
 ///    handle to deliver it to.
 ///  - SubmitWithFuture delivers the exception to the submitter through
 ///    the returned future (std::future::get rethrows it).
-///  - ParallelFor captures the first body exception and rethrows it on
-///    the calling thread after every worker has stopped.
 class ThreadPool {
  public:
   /// `num_threads` <= 0 resolves to the hardware concurrency (at least 1).
@@ -58,24 +55,11 @@ class ThreadPool {
   /// is observable through the returned future.
   std::future<void> SubmitWithFuture(std::function<void()> task);
 
-  /// Runs `body(worker, begin, end)` over [0, n) split into chunks of at
-  /// most `grain` indices with dynamic load balancing: each pool worker
-  /// repeatedly claims the next unprocessed chunk. `worker` is a dense id
-  /// in [0, size()), stable for the duration of the call, so the body can
-  /// keep worker-local accumulators without locking. Blocks the calling
-  /// thread until every worker is done; if any body invocation threw, the
-  /// first exception is rethrown here (remaining chunks may or may not
-  /// have run — callers treat the whole ParallelFor as failed). Must not
-  /// be invoked from inside a pool task (the nested wait could deadlock).
-  void ParallelFor(size_t n, size_t grain,
-                   const std::function<void(int worker, size_t begin,
-                                            size_t end)>& body);
-
   /// <= 0 -> hardware concurrency (at least 1); otherwise `requested`.
   static int ResolveThreadCount(int requested);
 
-  /// Usage counters for metrics export. Safe to call concurrently with
-  /// task execution; the snapshot is approximate while tasks run.
+  /// Usage counters. Safe to call concurrently with task execution; the
+  /// snapshot is approximate while tasks run.
   ThreadPoolStats stats() const;
 
  private:
@@ -90,11 +74,6 @@ class ThreadPool {
   std::atomic<uint64_t> task_exceptions_{0};
   std::atomic<uint64_t> busy_ns_{0};
 };
-
-/// Pool factory honoring the `num_threads` knob of the options structs:
-/// returns nullptr when the resolved count is 1 (callers run serially and
-/// skip the pool entirely), else a pool of the resolved size.
-std::unique_ptr<ThreadPool> MakeThreadPool(int num_threads);
 
 }  // namespace hmmm
 

@@ -16,10 +16,9 @@ struct TraceSpan {
   std::string name;
   int id = -1;
   int parent = -1;  // -1 = root span
-  /// Deterministic ordering key among siblings. Spans opened from the
-  /// parallel per-video fan-out pass their Step-7 visiting-order index so
-  /// the rendered tree is identical at every thread count; spans opened
-  /// serially keep their insertion sequence.
+  /// Deterministic ordering key among siblings. Per-video spans pass
+  /// their Step-7 visiting-order index; other spans keep their insertion
+  /// sequence.
   int64_t sort_key = 0;
   /// Begin time relative to the trace's first span, in milliseconds of the
   /// local process's monotonic clock. Cross-process trace assembly shifts
@@ -36,10 +35,10 @@ struct TraceSpan {
 };
 
 /// Records the spans of one traversal. Attach an instance through
-/// TraversalOptions::trace to instrument a query end-to-end. Thread-safe:
-/// the parallel fan-out opens per-video spans concurrently (one short
-/// mutex hold per begin/end — recording never changes what the traversal
-/// computes, so the byte-identical ranking guarantee is unaffected).
+/// TraversalOptions::trace to instrument a query end-to-end. Thread-safe
+/// (one short mutex hold per begin/end). Recording never changes what the
+/// traversal computes, so the byte-identical ranking guarantee is
+/// unaffected.
 ///
 /// The trace accumulates across retrievals; call Clear() between queries
 /// when reusing one instance.

@@ -47,7 +47,6 @@ RetrievalEngine::RetrievalEngine(const VideoCatalog& catalog,
     : catalog_(&catalog),
       model_(std::make_unique<HierarchicalModel>(std::move(model))),
       traversal_options_(traversal_options),
-      pool_(MakeThreadPool(traversal_options_.num_threads)),
       index_cache_(std::make_unique<IndexCache>()),
       admission_(std::make_unique<Admission>()),
       metrics_(std::make_unique<MetricsRegistry>()) {
@@ -77,11 +76,7 @@ RetrievalEngine& RetrievalEngine::operator=(RetrievalEngine&&) noexcept =
 RetrievalEngine::~RetrievalEngine() = default;
 
 void RetrievalEngine::set_traversal_options(const TraversalOptions& options) {
-  const int previous_threads = traversal_options_.num_threads;
   traversal_options_ = options;
-  if (options.num_threads != previous_threads) {
-    pool_ = MakeThreadPool(options.num_threads);
-  }
   // Any option can change the ranking (beam, gap handling, max_results),
   // so cached results are no longer answers to the same question.
   if (cache_ != nullptr) cache_->Clear();
@@ -173,7 +168,7 @@ StatusOr<std::vector<RetrievedPattern>> RetrievalEngine::Retrieve(
   const auto run_traversal = [&](RetrievalStats* computed) {
     const std::shared_ptr<const EventBitmapIndex> index = SharedEventIndex();
     HmmmTraversal traversal(*model_, *catalog_, traversal_options_,
-                            pool_.get(), index.get());
+                            index.get());
     return traversal.Retrieve(pattern, computed);
   };
 
@@ -223,24 +218,6 @@ StatusOr<std::vector<RetrievedPattern>> RetrievalEngine::Retrieve(
 void RetrievalEngine::RefreshResourceGauges() const {
   metrics_->GetGauge("hmmm_model_version", "model version counter; bumps on feedback training")
       ->Set(static_cast<double>(model_->version()));
-  const ThreadPoolStats pool =
-      pool_ != nullptr ? pool_->stats() : ThreadPoolStats{};
-  metrics_->GetGauge("hmmm_pool_workers", "worker threads in the fan-out pool")
-      ->Set(static_cast<double>(pool.workers));
-  metrics_->GetGauge("hmmm_pool_queue_depth", "tasks currently queued")
-      ->Set(static_cast<double>(pool.queue_depth));
-  metrics_
-      ->GetGauge("hmmm_pool_tasks_executed",
-                 "tasks completed since pool construction")
-      ->Set(static_cast<double>(pool.tasks_executed));
-  metrics_
-      ->GetGauge("hmmm_pool_busy_ms",
-                 "summed wall time workers spent inside tasks")
-      ->Set(pool.busy_ms);
-  metrics_
-      ->GetGauge("hmmm_pool_task_exceptions",
-                 "pool tasks that terminated with an uncaught exception")
-      ->Set(static_cast<double>(pool.task_exceptions));
   {
     std::lock_guard<std::mutex> lock(admission_->mutex);
     metrics_

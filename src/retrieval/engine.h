@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/model_builder.h"
 #include "observability/metrics_registry.h"
 #include "retrieval/admission.h"
@@ -21,14 +20,15 @@ namespace hmmm {
 /// then answer temporal pattern queries").
 ///
 /// Serving infrastructure lives here rather than in the traversal:
-///  - a thread pool sized from TraversalOptions::num_threads, reused by
-///    every query's per-video fan-out,
 ///  - an LRU cache of ranked results keyed by the compiled pattern's
 ///    signature and the model's version counter, so feedback training
 ///    (which bumps the version) invalidates all cached rankings at once,
 ///  - a MetricsRegistry holding query counters, an end-to-end latency
-///    histogram, the cache's hit/miss/eviction mirrors and pool/model
+///    histogram, the cache's hit/miss/eviction mirrors and model/admission
 ///    resource gauges.
+///
+/// Each query runs on its calling thread; concurrent callers are the
+/// only parallelism.
 class RetrievalEngine {
  public:
   /// Default capacity of the query-result cache (entries, not bytes).
@@ -78,8 +78,8 @@ class RetrievalEngine {
   const TraversalOptions& traversal_options() const {
     return traversal_options_;
   }
-  /// Replaces the options; resizes the worker pool if num_threads changed
-  /// and drops every cached result (options change the ranking).
+  /// Replaces the options and drops every cached result (options change
+  /// the ranking).
   void set_traversal_options(const TraversalOptions& options);
 
   /// Replaces the admission policy. Takes effect for subsequent
@@ -106,14 +106,14 @@ class RetrievalEngine {
   MetricsRegistry& metrics_registry() const { return *metrics_; }
 
   /// Prometheus text exposition of every registered metric, after
-  /// refreshing the pool/model resource gauges.
+  /// refreshing the model/admission resource gauges.
   std::string DumpMetricsPrometheus() const;
   /// JSON snapshot of the same.
   std::string DumpMetricsJson() const;
 
  private:
-  /// Copies the thread pool's usage atomics, the model version and any
-  /// armed fault-point counters into registry gauges. Called by the Dump
+  /// Copies the model version, the in-flight count and any armed
+  /// fault-point counters into registry gauges. Called by the Dump
   /// methods; gauges are snapshots, not live views.
   void RefreshResourceGauges() const;
 
@@ -132,7 +132,6 @@ class RetrievalEngine {
   /// references.
   std::unique_ptr<HierarchicalModel> model_;
   TraversalOptions traversal_options_;
-  std::unique_ptr<ThreadPool> pool_;   // null when num_threads resolves to 1
   std::unique_ptr<QueryCache> cache_;  // null when caching is disabled
   /// Mutex + current index behind a pointer so the engine stays movable.
   struct IndexCache;

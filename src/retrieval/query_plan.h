@@ -182,8 +182,9 @@ class EventBitmapIndex {
   Matrix event_sims_;              // [event][global state] exact Eq.-14 sims
 };
 
-/// Query-tier scratch of the query-plan layer: one instance per worker
-/// thread per Retrieve() call. Owns the worker's SimilarityScorer and
+/// Query-tier scratch of the query-plan layer: one instance per
+/// Retrieve() call, used by the calling thread only. Owns the query's
+/// SimilarityScorer and
 /// three caches that make the per-video lattice walk (Steps 3-6)
 /// beam-size-independent in its redundant work:
 ///
@@ -198,8 +199,9 @@ class EventBitmapIndex {
 /// All caches are scoped to one video walk (BeginVideoWalk bumps an
 /// epoch): each video is walked exactly once per query, and the per-walk
 /// scope keeps every RetrievalStats counter — including sim_evaluations
-/// and the new sim_memo_hits / candidate_list_reuse — byte-identical at
-/// any thread count, because a walk never observes another walk's cache.
+/// and the new sim_memo_hits / candidate_list_reuse — a per-video sum
+/// that does not depend on which videos were walked before, because a
+/// walk never observes another walk's cache.
 class QueryPlan {
  public:
   /// One arena node: the path edge into `state` with Eq.-13 weight

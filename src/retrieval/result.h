@@ -55,8 +55,8 @@ struct RetrievalStats {
 };
 
 /// Adds every counter of `from` into `*to` (truncated/degraded are
-/// OR-ed). Used by the parallel shard merge and by cache hits replaying
-/// recorded stats.
+/// OR-ed). Used by the traversal's per-video accounting and by cache hits
+/// replaying recorded stats.
 void AccumulateRetrievalStats(const RetrievalStats& from, RetrievalStats* to);
 
 }  // namespace hmmm

@@ -8,14 +8,13 @@ ThreeLevelTraversal::ThreeLevelTraversal(const HierarchicalModel& model,
                                          const VideoCatalog& catalog,
                                          const CategoryLevel& categories,
                                          TraversalOptions options,
-                                         ThreadPool* pool,
                                          const EventBitmapIndex* index)
     : model_(model),
       categories_(categories),
       trace_(options.trace),
       deadline_(options.deadline),
       cancellation_(options.cancellation),
-      traversal_(model, catalog, options, pool, index) {}
+      traversal_(model, catalog, options, index) {}
 
 std::vector<VideoId> ThreeLevelTraversal::PrunedVideoOrder(
     const TemporalPattern& pattern) const {
@@ -51,7 +50,7 @@ std::vector<VideoId> ThreeLevelTraversal::PrunedVideoOrderInternal(
 
   // Deadline/cancellation poll between cluster picks: a fired poll
   // truncates the order at a cluster boundary, and the underlying
-  // fan-out degrades over the prefix that survived.
+  // Step-7 loop degrades over the prefix that survived.
   const auto ordering_expired = [&] {
     if (cancellation_ != nullptr && cancellation_->cancelled()) return true;
     return DeadlineExpired(deadline_);

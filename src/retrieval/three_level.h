@@ -20,15 +20,13 @@ namespace hmmm {
 /// the category layer only decides WHICH videos are walked, never how.
 class ThreeLevelTraversal {
  public:
-  /// All references must outlive the traversal. `pool` and `index`
-  /// (both optional) are forwarded to the underlying 2-level traversal:
-  /// the pool for its per-video fan-out, the index as the shared
+  /// All references must outlive the traversal. `index` (optional) is
+  /// forwarded to the underlying 2-level traversal as the shared
   /// model-tier EventBitmapIndex (self-built when omitted).
   ThreeLevelTraversal(const HierarchicalModel& model,
                       const VideoCatalog& catalog,
                       const CategoryLevel& categories,
                       TraversalOptions options = {},
-                      ThreadPool* pool = nullptr,
                       const EventBitmapIndex* index = nullptr);
 
   /// Runs the pruned retrieval; results sorted by descending SS.
@@ -41,7 +39,7 @@ class ThreeLevelTraversal {
   /// Falls back to all videos when no cluster contains the event. Polls
   /// the options' deadline/cancellation between cluster picks and
   /// truncates at a cluster boundary when either fires (the underlying
-  /// fan-out then degrades over the truncated order).
+  /// Step-7 loop then degrades over the truncated order).
   std::vector<VideoId> PrunedVideoOrder(const TemporalPattern& pattern) const;
 
  private:

@@ -12,8 +12,8 @@ namespace hmmm {
 /// heap with the *worst* retained element at the front so an insertion
 /// beyond capacity evicts it. `Better` must be a strict TOTAL order for
 /// deterministic contents (the traversal's orders break score ties by a
-/// unique generation / video-order index, which is what makes parallel
-/// merges byte-identical to the serial ranking).
+/// unique generation / video-order index, which makes the retained set
+/// byte-identical to a stable sort of every candidate).
 ///
 /// Push on a full heap first compares against the current worst: a loser
 /// is rejected with that single comparison, and a winner overwrites the

@@ -1,10 +1,8 @@
 #include "retrieval/traversal.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/fault_injector.h"
@@ -16,8 +14,8 @@ namespace hmmm {
 namespace {
 
 /// One candidate tagged with its video's position in the Step-2 visiting
-/// order, the tie-break that makes the parallel merge reproduce the
-/// serial stable sort exactly.
+/// order, the tie-break that makes the bounded heap reproduce a stable
+/// sort of every candidate exactly.
 struct VideoCandidate {
   RetrievedPattern pattern;
   size_t order_index = 0;
@@ -34,14 +32,9 @@ struct BetterCandidate {
   }
 };
 
-/// Bounded best-K accumulator for the per-shard Step 7-9 merge
+/// Bounded best-K accumulator for the Step 7-9 ranking
 /// (retrieval/topk.h for the heap mechanics).
 using CandidateHeap = TopKHeap<VideoCandidate, BetterCandidate>;
-
-/// Dynamic-scheduling chunk size for the per-video fan-out: one video per
-/// claim balances well (per-video lattice cost varies with annotation
-/// density) and the claim is a single relaxed fetch_add.
-constexpr size_t kParallelGrain = 1;
 
 /// Step-2 ordering polls the deadline/token once per this many picks —
 /// the affinity-chaining loop is quadratic in the containing-video count,
@@ -49,68 +42,18 @@ constexpr size_t kParallelGrain = 1;
 /// before Step 7 even starts.
 constexpr size_t kOrderPollInterval = 32;
 
-void AccumulateStats(const RetrievalStats& shard, RetrievalStats* stats) {
-  stats->videos_considered += shard.videos_considered;
-  stats->states_visited += shard.states_visited;
-  stats->candidates_scored += shard.candidates_scored;
-  stats->beam_pruned += shard.beam_pruned;
-  stats->annotated_fallbacks += shard.annotated_fallbacks;
-  stats->sim_memo_hits += shard.sim_memo_hits;
-  stats->candidate_list_reuse += shard.candidate_list_reuse;
-  stats->heap_pops += shard.heap_pops;
-  stats->grid_cells_skipped += shard.grid_cells_skipped;
-  stats->truncated = stats->truncated || shard.truncated;
-}
-
 }  // namespace
-
-/// Shared cancellation state for one retrieval. The Step-7 claim indices
-/// are handed out by a monotonic fetch_add, so the set of fully walked
-/// videos can be pinned to an *order prefix* with a single atomic: any
-/// worker that observes expiry (at claim time or mid-walk on index i)
-/// CAS-lowers `cutoff` to i and abandons the video, and workers skip any
-/// claim at or beyond the current cutoff. Every index below the final
-/// cutoff was claimed earlier than the cut point and completed (an
-/// expired walk would have lowered the cutoff below itself), so merging
-/// only candidates/stats with order_index < cutoff yields exactly the
-/// retrieval restricted to order[0, cutoff) — deterministic for a fixed
-/// cutoff regardless of thread count or claim interleaving.
-struct HmmmTraversal::CancelScope {
-  std::chrono::steady_clock::time_point deadline = kNoDeadline;
-  const CancellationToken* token = nullptr;
-  std::atomic<size_t> cutoff{std::numeric_limits<size_t>::max()};
-
-  bool Expired() const {
-    if (token != nullptr && token->cancelled()) return true;
-    return DeadlineExpired(deadline);
-  }
-
-  /// Lowers the cutoff to `index` (never raises it).
-  void CutAt(size_t index) {
-    size_t current = cutoff.load(std::memory_order_relaxed);
-    while (index < current &&
-           !cutoff.compare_exchange_weak(current, index,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-};
 
 HmmmTraversal::HmmmTraversal(const HierarchicalModel& model,
                              const VideoCatalog& catalog,
-                             TraversalOptions options, ThreadPool* pool,
+                             TraversalOptions options,
                              const EventBitmapIndex* index)
     : model_(model),
       catalog_(catalog),
       options_(std::move(options)),
-      pool_(pool),
       external_index_(index) {
   HMMM_CHECK(options_.beam_width >= 1);
   HMMM_CHECK(options_.max_results >= 1);
-  if (pool_ == nullptr && options_.num_threads != 1) {
-    owned_pool_ = MakeThreadPool(options_.num_threads);
-    pool_ = owned_pool_.get();
-  }
   if (external_index_ != nullptr) {
     HMMM_CHECK(external_index_->FreshFor(model_));
   }
@@ -123,6 +66,19 @@ const EventBitmapIndex& HmmmTraversal::CurrentIndex() const {
     owned_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
   }
   return *owned_index_;
+}
+
+bool HmmmTraversal::Cancellable() const {
+  return options_.deadline != kNoDeadline ||
+         options_.cancellation != nullptr ||
+         HMMM_FAULT_ARMED_PREFIX("traversal.");
+}
+
+bool HmmmTraversal::Expired() const {
+  if (options_.cancellation != nullptr && options_.cancellation->cancelled()) {
+    return true;
+  }
+  return DeadlineExpired(options_.deadline);
 }
 
 void HmmmTraversal::CandidateStates(QueryPlan& plan, VideoId video, int first,
@@ -169,20 +125,12 @@ std::vector<VideoId> HmmmTraversal::VideoOrder(
   // kOrderPollInterval picks; a fired poll truncates the order, which
   // stays a prefix of the full one because every pick is a deterministic
   // function of the picks before it.
-  const bool poll_expiry = options_.deadline != kNoDeadline ||
-                           options_.cancellation != nullptr ||
-                           HMMM_FAULT_ARMED_PREFIX("traversal.");
+  const bool poll_expiry = Cancellable();
   const auto ordering_expired = [&](size_t picked) {
     if (!poll_expiry) return false;
-    if (HMMM_FAULT_FIRED_ARG("traversal.order_pick",
-                             static_cast<int64_t>(picked))) {
-      return true;
-    }
-    if (options_.cancellation != nullptr &&
-        options_.cancellation->cancelled()) {
-      return true;
-    }
-    return DeadlineExpired(options_.deadline);
+    return HMMM_FAULT_FIRED_ARG("traversal.order_pick",
+                                static_cast<int64_t>(picked)) ||
+           Expired();
   };
   // Seed with the highest-Pi2 containing video, then chain by A2 affinity
   // with the previously chosen video (Step 2: "close affinity relationship
@@ -567,7 +515,7 @@ StatusOr<std::vector<RetrievedPattern>> HmmmTraversal::Retrieve(
   }
   // A full ordering covers all M videos, so a shorter one means the
   // deadline/cancellation fired during Step 2: the videos that never got
-  // ordered are degradation skips too, on top of whatever the fan-out
+  // ordered are degradation skips too, on top of whatever Step 7
   // abandons.
   const size_t m = model_.num_videos();
   if (order.size() < m) {
@@ -586,17 +534,18 @@ StatusOr<std::vector<RetrievedPattern>> HmmmTraversal::Retrieve(
 HmmmTraversal::WalkOutcome HmmmTraversal::TraverseVideo(
     VideoId video, const TemporalPattern& pattern, QueryPlan& plan,
     WalkScratch& scratch, RetrievalStats* stats, RetrievedPattern* out,
-    int parent_span, int64_t order_index, CancelScope* cancel) const {
+    int parent_span, int64_t order_index, bool poll) const {
   const LocalShotModel& local = model_.local(video);
   if (local.num_states() == 0) return WalkOutcome::kNoCandidate;
 
   // All plan caches (Eq.-15 memo, candidate lists, path arena) are scoped
   // to this walk; see QueryPlan for why that keeps the stats counters
-  // identical at every thread count.
+  // independent of the visiting order.
   plan.BeginVideoWalk();
 
   // Per-video counters feed this video's trace span; they are merged into
-  // the caller's stats at the end so parallel shards stay additive.
+  // the caller's stats only when the walk completes, so an aborted walk
+  // leaves no trace in them.
   RetrievalStats video_stats;
   ++video_stats.videos_considered;
   QueryTrace* trace = options_.trace;
@@ -617,7 +566,7 @@ HmmmTraversal::WalkOutcome HmmmTraversal::TraverseVideo(
   {
     ScopedSpan walk_span(trace, "steps3_5_walk", video_span.id());
     // The scratch's flat cell buffer + row spans are reused across steps
-    // and across this worker's videos (clear() keeps the capacity, so
+    // and across the query's videos (clear() keeps the capacity, so
     // steady state allocates nothing).
     std::vector<GridCell>& cells = scratch.cells;
     std::vector<RowSpan>& rows = scratch.rows;
@@ -659,15 +608,12 @@ HmmmTraversal::WalkOutcome HmmmTraversal::TraverseVideo(
     for (size_t j = 1; j < pattern.size() && !beam_paths.empty(); ++j) {
       // Bounded-interval poll: one deadline/cancellation check per
       // pattern step keeps a long walk from overrunning the budget while
-      // adding nothing to the happy path (cancel is null there). An
-      // expired walk pins the prefix cutoff at this video and aborts
-      // without recording anything — the caller discards the partial
-      // stats, so the surviving prefix stays byte-identical to a full
-      // retrieval over it.
-      if (cancel != nullptr &&
-          (cancel->Expired() ||
-           HMMM_FAULT_FIRED_ARG("traversal.walk_fault", order_index))) {
-        cancel->CutAt(static_cast<size_t>(order_index));
+      // adding nothing to the happy path (poll is false there). An
+      // expired walk aborts without recording anything; the caller cuts
+      // the order prefix at this video, so the surviving prefix stays
+      // byte-identical to a full retrieval over it.
+      if (poll && (Expired() || HMMM_FAULT_FIRED_ARG("traversal.walk_fault",
+                                                     order_index))) {
         return WalkOutcome::kAborted;
       }
       // Build the step's score grid — one row span per surviving beam
@@ -757,7 +703,7 @@ HmmmTraversal::WalkOutcome HmmmTraversal::TraverseVideo(
   video_span.Counter("grid_cells_skipped", video_stats.grid_cells_skipped);
   video_span.Counter("annotated_fallbacks", video_stats.annotated_fallbacks);
   video_span.Counter("candidates_scored", video_stats.candidates_scored);
-  if (stats != nullptr) AccumulateStats(video_stats, stats);
+  if (stats != nullptr) AccumulateRetrievalStats(video_stats, stats);
   return found ? WalkOutcome::kCandidate : WalkOutcome::kNoCandidate;
 }
 
@@ -777,183 +723,74 @@ StatusOr<std::vector<RetrievedPattern>> HmmmTraversal::RetrieveWithVideoOrder(
     order.resize(static_cast<size_t>(options_.max_videos));
   }
 
-  // Step 7 fan-out: each video's lattice walk (Steps 3-6) is independent
-  // given the visiting order, so videos are sharded across the pool.
-  // Every worker owns a QueryPlan (scorer + memo + candidate cache +
-  // path arena — the counters would race), a stats block and a top-K
-  // heap; heaps are merged below under a total order, which makes the
-  // ranking identical at any thread count.
   const auto top_k = static_cast<size_t>(options_.max_results);
-  std::vector<VideoCandidate> survivors;
-  RetrievalStats accumulated;
-  size_t total_evaluations = 0;
-
-  // Degradation machinery engages only when something could actually
-  // fire: a deadline or token in the options, or an armed traversal
-  // fault point. Otherwise the happy path below is the unchanged
-  // bounded-heap fan-out — zero cost when robustness features are off.
-  const bool cancellable = options_.deadline != kNoDeadline ||
-                           options_.cancellation != nullptr ||
-                           HMMM_FAULT_ARMED_PREFIX("traversal.");
-  CancelScope scope;
-  scope.deadline = options_.deadline;
-  scope.token = options_.cancellation;
-
-  struct Shard {
-    Shard(const HierarchicalModel& model, const EventBitmapIndex& index,
-          const TemporalPattern& pattern, const ScorerOptions& options,
-          size_t capacity)
-        : plan(model, index, pattern, options), top(capacity) {}
-    QueryPlan plan;
-    CandidateHeap top;
-    RetrievalStats stats;
-    // Reused across this worker's walks; capacities reach steady state
-    // after the first couple of videos and the fan-out stops allocating.
-    WalkScratch scratch;
-    // Cancellable mode collects *everything* instead of using the heap:
-    // the merge must drop any candidate at or beyond the final cutoff,
-    // and a bounded heap could already have evicted a low-scoring
-    // candidate that belongs in the anytime top-K of the surviving
-    // prefix. Per-walk stats ride along so the reported counters cover
-    // exactly the walks that survive the cut.
-    std::vector<VideoCandidate> all;
-    std::vector<std::pair<size_t, RetrievalStats>> walks;
-  };
-  const bool parallel =
-      pool_ != nullptr && pool_->size() > 1 && order.size() > 1;
-  std::vector<std::unique_ptr<Shard>> shards;
+  std::optional<QueryPlan> plan;
   {
     ScopedSpan plan_span(options_.trace, "query_plan_build");
-    const EventBitmapIndex& index = CurrentIndex();
-    const size_t num_shards =
-        parallel ? static_cast<size_t>(pool_->size()) : 1;
-    shards.reserve(num_shards);
-    for (size_t w = 0; w < num_shards; ++w) {
-      shards.push_back(std::make_unique<Shard>(model_, index, pattern,
-                                               options_.scorer, top_k));
-    }
+    plan.emplace(model_, CurrentIndex(), pattern, options_.scorer);
   }
+  WalkScratch scratch;
+  CandidateHeap top(top_k);
+  RetrievalStats accumulated;
 
+  // Step 7: walk the videos one after another in the Step-2 order. The
+  // first index at which the check before a walk or a poll inside one
+  // fires ends the loop, so the walked videos are always the order prefix
+  // [0, cutoff) and the bounded heap holds exactly that prefix's top K.
+  // The polls run only when something could fire (a deadline, a token or
+  // an armed traversal fault point).
+  const bool cancellable = Cancellable();
   ScopedSpan fanout_span(options_.trace, "step7_video_fanout");
   fanout_span.Counter("videos", order.size());
-
-  const auto visit = [&](Shard& shard, size_t i) {
-    if (!cancellable) {
-      RetrievedPattern candidate;
-      if (TraverseVideo(order[i], pattern, shard.plan, shard.scratch,
-                        &shard.stats, &candidate, fanout_span.id(),
-                        static_cast<int64_t>(i)) == WalkOutcome::kCandidate) {
-        shard.top.Push({std::move(candidate), i});
-      }
-      return;
-    }
-    // Cancellable claim protocol (see CancelScope): skip claims at or
-    // beyond the cutoff; an expiry observed at claim time pins the
-    // cutoff here and skips the walk.
-    if (i >= scope.cutoff.load(std::memory_order_acquire)) return;
-    if (scope.Expired() ||
-        HMMM_FAULT_FIRED_ARG("traversal.deadline_at_video",
-                             static_cast<int64_t>(i))) {
-      scope.CutAt(i);
-      return;
+  size_t cutoff = order.size();
+  // Scorer evaluations up to the last completed walk: an aborted walk's
+  // evaluations are rolled back along with the rest of its counters.
+  size_t completed_evaluations = plan->scorer().evaluations();
+  for (size_t i = 0; i < order.size(); ++i) {
+    const auto order_index = static_cast<int64_t>(i);
+    if (cancellable &&
+        (Expired() ||
+         HMMM_FAULT_FIRED_ARG("traversal.deadline_at_video", order_index))) {
+      cutoff = i;
+      break;
     }
     RetrievedPattern candidate;
-    std::pair<size_t, RetrievalStats> walk{i, RetrievalStats{}};
-    const size_t evaluations_before = shard.plan.scorer().evaluations();
     const WalkOutcome outcome =
-        TraverseVideo(order[i], pattern, shard.plan, shard.scratch,
-                      &walk.second, &candidate, fanout_span.id(),
-                      static_cast<int64_t>(i), &scope);
-    if (outcome == WalkOutcome::kAborted) return;
-    walk.second.sim_evaluations =
-        shard.plan.scorer().evaluations() - evaluations_before;
-    shard.walks.push_back(std::move(walk));
+        TraverseVideo(order[i], pattern, *plan, scratch, &accumulated,
+                      &candidate, fanout_span.id(), order_index, cancellable);
+    if (outcome == WalkOutcome::kAborted) {
+      cutoff = i;
+      break;
+    }
+    completed_evaluations = plan->scorer().evaluations();
     if (outcome == WalkOutcome::kCandidate) {
-      shard.all.push_back({std::move(candidate), i});
-    }
-  };
-
-  if (parallel) {
-    // ParallelFor rethrows the first worker exception (after every
-    // worker has drained); a poisoned retrieval surfaces as a Status
-    // instead of tearing down the process.
-    try {
-      pool_->ParallelFor(order.size(), kParallelGrain,
-                         [&](int worker, size_t begin, size_t end) {
-                           Shard& shard = *shards[static_cast<size_t>(worker)];
-                           for (size_t i = begin; i < end; ++i) {
-                             visit(shard, i);
-                           }
-                         });
-    } catch (const std::exception& e) {
-      return Status::Internal(
-          StrFormat("retrieval worker failed: %s", e.what()));
-    }
-  } else {
-    Shard& shard = *shards.front();
-    for (size_t i = 0; i < order.size(); ++i) visit(shard, i);
-  }
-
-  // The final cutoff (if any fired) bounds the surviving order prefix;
-  // everything claimed at or beyond it is discarded so the anytime
-  // result equals a full retrieval over order[0, cutoff).
-  size_t cutoff = order.size();
-  bool fired = false;
-  if (cancellable) {
-    const size_t cut = scope.cutoff.load(std::memory_order_acquire);
-    if (cut < order.size()) {
-      cutoff = cut;
-      fired = true;
+      top.Push({std::move(candidate), i});
     }
   }
-  for (const std::unique_ptr<Shard>& shard : shards) {
-    if (cancellable) {
-      for (auto& walk : shard->walks) {
-        if (walk.first < cutoff) {
-          AccumulateRetrievalStats(walk.second, &accumulated);
-        }
-      }
-      for (VideoCandidate& candidate : shard->all) {
-        if (candidate.order_index < cutoff) {
-          survivors.push_back(std::move(candidate));
-        }
-      }
-    } else {
-      for (VideoCandidate& candidate : shard->top.entries()) {
-        survivors.push_back(std::move(candidate));
-      }
-      AccumulateStats(shard->stats, &accumulated);
-      total_evaluations += shard->plan.scorer().evaluations();
-    }
-  }
-  if (fired) {
+  accumulated.sim_evaluations = completed_evaluations;
+  if (cutoff < order.size()) {
     accumulated.degraded = true;
     accumulated.videos_skipped += order.size() - cutoff;
     fanout_span.Counter("deadline_fired", 1);
     fanout_span.Counter("videos_skipped", order.size() - cutoff);
   }
+  std::vector<VideoCandidate>& survivors = top.entries();
   fanout_span.Counter("candidates", survivors.size());
   fanout_span.End();
 
-  // Steps 8-9: rank by similarity score. Each shard retained its own best
-  // max_results candidates, so the union is a superset of the global top
-  // K; the (score, order) total order reproduces the serial ranking.
+  // Steps 8-9: rank by similarity score. The heap holds the top K under
+  // the (score, order) total order; sorting it yields the ranking.
   ScopedSpan merge_span(options_.trace, "step8_9_merge_rank");
   std::sort(survivors.begin(), survivors.end(), BetterCandidate{});
-  if (survivors.size() > top_k) survivors.resize(top_k);
   std::vector<RetrievedPattern> results;
   results.reserve(survivors.size());
   for (VideoCandidate& candidate : survivors) {
     results.push_back(std::move(candidate.pattern));
   }
   merge_span.Counter("results", results.size());
-  if (stats != nullptr) {
-    // The full accumulator (result.cc) carries sim_evaluations and the
-    // degradation fields; in heap mode per-walk sim_evaluations were
-    // never split out, so the shard-plan totals are added on top.
-    AccumulateRetrievalStats(accumulated, stats);
-    stats->sim_evaluations += total_evaluations;
-  }
+  // The full accumulator (result.cc) carries sim_evaluations and the
+  // degradation fields.
+  if (stats != nullptr) AccumulateRetrievalStats(accumulated, stats);
   return results;
 }
 

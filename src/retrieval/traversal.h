@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/cancellation.h"
-#include "common/thread_pool.h"
 #include "observability/query_trace.h"
 #include "retrieval/query_plan.h"
 #include "retrieval/result.h"
@@ -38,21 +37,17 @@ struct TraversalOptions {
   /// the step's events whenever any exist, falling back to pure Eq.-14
   /// similarity over all shots otherwise. false = similarity only.
   bool annotated_first = true;
-  /// Candidate videos are fanned out across this many worker threads;
-  /// each video's shot-level lattice walk is independent given the
-  /// Step-2 video order, and per-worker top-K heaps are merged with a
-  /// deterministic (score, video-order) tie-break, so the ranked output
-  /// is byte-identical to the serial walk at any thread count. 1 = run
-  /// serially on the calling thread (the default); 0 = one worker per
-  /// hardware thread.
+  /// No-op. Every query runs on its calling thread: Step 7 walks the
+  /// videos one after another in the Step-2 order, and parallelism lives
+  /// across queries (the server's workers), never inside one. The field
+  /// remains only because hmmm_loadgen/probes.cc still assigns it.
   int num_threads = 1;
   /// When set, the traversal records one span per phase (Step-2 video
   /// ordering, query-plan build, per-video Steps 3-5 lattice walk, Eq.-15
   /// scoring, Step 7-9 merge/rank) into this trace, with wall times and
   /// RetrievalStats-style counters. Not owned; must outlive the
   /// traversal. Recording never changes what is computed, so the ranked
-  /// output stays byte-identical with tracing on or off, at any thread
-  /// count.
+  /// output stays byte-identical with tracing on or off.
   QueryTrace* trace = nullptr;
   /// Absolute wall-clock budget on the steady clock. When the deadline
   /// fires mid-retrieval the traversal degrades gracefully instead of
@@ -60,14 +55,14 @@ struct TraversalOptions {
   /// Step-2 videos whose lattice walks completed, sets stats->degraded
   /// and counts the abandoned videos in stats->videos_skipped. For a
   /// fixed set of completed videos the anytime ranking is byte-identical
-  /// to a full retrieval restricted to that video prefix, at any thread
-  /// count. Default: no deadline.
+  /// to a full retrieval restricted to that video prefix. Default: no
+  /// deadline.
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
   /// Optional cooperative cancellation, polled at the same bounded
-  /// intervals as the deadline (between Step-2 ordering picks, between
-  /// per-video claims of the Step-7 fan-out, and between pattern steps
-  /// of each Steps-3-5 beam walk). Not owned; must outlive every
-  /// Retrieve call. Firing it degrades exactly like a deadline.
+  /// intervals as the deadline (between Step-2 ordering picks, before
+  /// each Step-7 video walk, and between pattern steps of each Steps-3-5
+  /// beam walk). Not owned; must outlive every Retrieve call. Firing it
+  /// degrades exactly like a deadline.
   const CancellationToken* cancellation = nullptr;
   ScorerOptions scorer;
 };
@@ -81,9 +76,10 @@ struct TraversalOptions {
 ///
 /// The walk runs on the two-tier query-plan layer (query_plan.h): a
 /// model-tier EventBitmapIndex answers "which videos / local shots carry
-/// this event" with bitsets, and a per-worker QueryPlan memoizes Eq.-15
+/// this event" with bitsets, and a per-query QueryPlan memoizes Eq.-15
 /// scores, caches per-(video, step) candidate lists and arena-allocates
-/// beam paths.
+/// beam paths. Step 7 walks the videos one after another on the calling
+/// thread, in the Step-2 order (paper §5).
 ///
 /// Each step's beam selection is a cube-pruned best-first search rather
 /// than a breadth-first expand-all: the (prev-path x candidate-state)
@@ -101,19 +97,17 @@ struct TraversalOptions {
 /// Neither the plan tiers nor the pruned search change any computed
 /// value — rankings, edge weights, states_visited, beam_pruned and the
 /// other structural counters are byte-identical to the naive per-path
-/// walk at every beam width, thread count and kernel choice (asserted by
+/// walk at every beam width and kernel choice (asserted by
 /// reference_traversal_test); only the evaluation-effort counters
 /// (sim_evaluations, sim_memo_hits) shrink. See DESIGN.md §5.1.
 class HmmmTraversal {
  public:
-  /// Model and catalog must outlive the traversal. When `pool` is given
-  /// it is used for the per-video fan-out (and must outlive the
-  /// traversal); otherwise a pool is created iff options.num_threads
-  /// resolves to more than one worker. When `index` is given it must be
-  /// fresh for `model` and outlive the traversal (the engine shares one
-  /// per model version); otherwise the traversal builds its own.
+  /// Model and catalog must outlive the traversal. When `index` is given
+  /// it must be fresh for `model` and outlive the traversal (the engine
+  /// shares one per model version); otherwise the traversal builds its
+  /// own.
   HmmmTraversal(const HierarchicalModel& model, const VideoCatalog& catalog,
-                TraversalOptions options = {}, ThreadPool* pool = nullptr,
+                TraversalOptions options = {},
                 const EventBitmapIndex* index = nullptr);
 
   /// Runs the retrieval; results are sorted by descending SS. With a
@@ -145,11 +139,6 @@ class HmmmTraversal {
   const EventBitmapIndex& event_index() const { return CurrentIndex(); }
 
  private:
-  /// Shared per-retrieval cancellation state: the deadline/token pair
-  /// plus the atomic video-order cutoff that makes degraded results a
-  /// deterministic order-prefix (defined in traversal.cc).
-  struct CancelScope;
-
   /// How one video's lattice walk ended.
   enum class WalkOutcome {
     kNoCandidate,  // walked fully, no complete candidate in this video
@@ -211,10 +200,9 @@ class HmmmTraversal {
     uint32_t end = 0;
   };
 
-  /// Per-worker scratch buffers threaded through the walk so the
+  /// Per-query scratch buffers threaded through the walk so the
   /// steady-state traversal allocates nothing: each vector's capacity
-  /// survives clear() across rows, steps and videos. One instance per
-  /// fan-out shard — never shared across threads.
+  /// survives clear() across rows, steps and videos.
   struct WalkScratch {
     std::vector<GridCell> cells;       // one step's flat score grid
     std::vector<RowSpan> rows;         // one span per beam path
@@ -284,18 +272,23 @@ class HmmmTraversal {
 
   /// Steps 3-6 for one candidate video: the shot-level lattice walk.
   /// Fills `out` with the video's best path when the video yields a
-  /// candidate. Thread-safe across distinct (plan, stats) pairs — the
-  /// model, catalog and index are only read. When tracing is enabled
-  /// `parent_span`/`order_index` place the video's span (and its
-  /// walk/scoring children) deterministically in the trace tree. When
-  /// `cancel` is set the walk polls it between pattern steps; a fired
-  /// deadline/cancellation CAS-lowers the scope's cutoff to this walk's
-  /// order index and returns kAborted without touching `stats`.
+  /// candidate. When tracing is enabled `parent_span`/`order_index`
+  /// place the video's span (and its walk/scoring children)
+  /// deterministically in the trace tree. When `poll` is set the walk
+  /// checks the deadline/cancellation between pattern steps; a fired
+  /// check returns kAborted without touching `stats`.
   WalkOutcome TraverseVideo(VideoId video, const TemporalPattern& pattern,
                             QueryPlan& plan, WalkScratch& scratch,
                             RetrievalStats* stats, RetrievedPattern* out,
-                            int parent_span = -1, int64_t order_index = -1,
-                            CancelScope* cancel = nullptr) const;
+                            int parent_span, int64_t order_index,
+                            bool poll) const;
+
+  /// True when a deadline, a cancellation token or an armed traversal
+  /// fault point could fire; otherwise no poll runs at all.
+  bool Cancellable() const;
+  /// True once the options' cancellation token fired or their deadline
+  /// passed.
+  bool Expired() const;
 
   /// Self-built index, rebuilt under the lock when stale; unused when an
   /// external index was supplied.
@@ -304,8 +297,6 @@ class HmmmTraversal {
   const HierarchicalModel& model_;
   const VideoCatalog& catalog_;
   TraversalOptions options_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;  // external or owned_pool_.get(); may be null
   mutable std::mutex index_mutex_;
   mutable std::unique_ptr<EventBitmapIndex> owned_index_;
   const EventBitmapIndex* external_index_ = nullptr;

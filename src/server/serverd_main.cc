@@ -6,6 +6,9 @@
 // Or spin up a synthetic soccer archive for demos and smoke tests:
 //   hmmm_serverd --synthetic --videos 12 --port 0
 //
+// Each query runs start to finish on one of the --workers server threads
+// (default 2); parallelism is across queries, never inside one.
+//
 // The daemon prints one machine-readable line once it accepts traffic:
 //   LISTENING port=<port>
 // and shuts down gracefully (drain, then cooperative cancel) on SIGINT
@@ -43,8 +46,7 @@ struct ServerdFlags {
   int videos = 12;
   std::string host = "127.0.0.1";
   int port = 8787;
-  int workers = 2;
-  int query_threads = 0;  // 0 = hardware concurrency
+  int workers = 2;  // each query runs on one worker, start to finish
   int max_concurrent = 0;
   int max_queued = 0;
   int cache_entries = 64;
@@ -59,7 +61,7 @@ void PrintUsage(const char* argv0) {
       "usage: %s (--catalog PATH --model PATH | --synthetic [--videos N])\n"
       "          [--snapshot PATH] [--snapshot-verify] [--snapshot-willneed]\n"
       "          [--snapshot-publish-dir DIR]\n"
-      "          [--host ADDR] [--port N] [--workers N] [--query-threads N]\n"
+      "          [--host ADDR] [--port N] [--workers N]\n"
       "          [--max-concurrent N] [--max-queued N] [--cache-entries N]\n"
       "          [--trace-sample-rate F] [--slow-query-threshold-ms F]\n"
       "          [--slow-query-capacity N]\n",
@@ -110,10 +112,6 @@ bool ParseFlags(int argc, char** argv, ServerdFlags* flags) {
       const char* value = next();
       if (value == nullptr) return false;
       flags->workers = std::atoi(value);
-    } else if (arg == "--query-threads") {
-      const char* value = next();
-      if (value == nullptr) return false;
-      flags->query_threads = std::atoi(value);
     } else if (arg == "--max-concurrent") {
       const char* value = next();
       if (value == nullptr) return false;
@@ -151,7 +149,6 @@ bool ParseFlags(int argc, char** argv, ServerdFlags* flags) {
 
 hmmm::StatusOr<hmmm::VideoDatabase> OpenDatabase(const ServerdFlags& flags) {
   hmmm::VideoDatabaseOptions options;
-  options.traversal.num_threads = flags.query_threads;
   options.admission.max_concurrent = flags.max_concurrent;
   options.admission.max_queued = flags.max_queued;
   options.query_cache_entries =

@@ -40,8 +40,8 @@ TEST(CancellationTokenTest, DeadlineHelpers) {
   EXPECT_LT(soon, kNoDeadline);
 }
 
-/// Same exact-equality helpers as parallel_retrieval_test: anytime
-/// results must be byte-identical, not merely similar.
+/// Exact-equality helpers: anytime results must be byte-identical, not
+/// merely similar.
 void ExpectIdenticalResults(const std::vector<RetrievedPattern>& expected,
                             const std::vector<RetrievedPattern>& actual) {
   ASSERT_EQ(expected.size(), actual.size());
@@ -66,6 +66,10 @@ void ExpectIdenticalCostCounters(const RetrievalStats& expected,
   EXPECT_EQ(expected.candidates_scored, actual.candidates_scored);
   EXPECT_EQ(expected.beam_pruned, actual.beam_pruned);
   EXPECT_EQ(expected.annotated_fallbacks, actual.annotated_fallbacks);
+  EXPECT_EQ(expected.sim_memo_hits, actual.sim_memo_hits);
+  EXPECT_EQ(expected.candidate_list_reuse, actual.candidate_list_reuse);
+  EXPECT_EQ(expected.heap_pops, actual.heap_pops);
+  EXPECT_EQ(expected.grid_cells_skipped, actual.grid_cells_skipped);
   EXPECT_EQ(expected.truncated, actual.truncated);
 }
 
@@ -78,7 +82,7 @@ class CancellationRetrievalTest : public ::testing::Test {
     model_ = std::move(model).value();
   }
 
-  /// Serial, no-deadline retrieval restricted to `order` — the reference
+  /// No-deadline retrieval restricted to `order` — the reference
   /// an anytime result must match once its completed prefix is known.
   std::vector<RetrievedPattern> PrefixReference(
       const TemporalPattern& pattern, const std::vector<VideoId>& order,
@@ -93,30 +97,25 @@ class CancellationRetrievalTest : public ::testing::Test {
   HierarchicalModel model_;
 };
 
-TEST_F(CancellationRetrievalTest,
-       PreCancelledTokenDegradesToEmptyAtEveryThreadCount) {
+TEST_F(CancellationRetrievalTest, PreCancelledTokenDegradesToEmpty) {
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
   CancellationToken token;
   token.Cancel();
-  for (int threads : {1, 2, 4, 8}) {
-    TraversalOptions options;
-    options.num_threads = threads;
-    options.cancellation = &token;
-    HmmmTraversal traversal(model_, catalog_, options);
-    RetrievalStats stats;
-    auto results = traversal.Retrieve(pattern, &stats);
-    ASSERT_TRUE(results.ok()) << threads << " threads";
-    EXPECT_TRUE(results->empty()) << threads << " threads";
-    EXPECT_TRUE(stats.degraded);
-    EXPECT_EQ(stats.videos_skipped, catalog_.num_videos());
-    EXPECT_EQ(stats.videos_considered, 0u);
-  }
+  TraversalOptions options;
+  options.cancellation = &token;
+  HmmmTraversal traversal(model_, catalog_, options);
+  RetrievalStats stats;
+  auto results = traversal.Retrieve(pattern, &stats);
+  ASSERT_TRUE(results.ok());
+  EXPECT_TRUE(results->empty());
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.videos_skipped, catalog_.num_videos());
+  EXPECT_EQ(stats.videos_considered, 0u);
 }
 
 TEST_F(CancellationRetrievalTest, ExpiredDeadlineDegradesLikeCancellation) {
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   TraversalOptions options;
-  options.num_threads = 4;
   options.deadline = std::chrono::steady_clock::now() - milliseconds(1);
   HmmmTraversal traversal(model_, catalog_, options);
   RetrievalStats stats;
@@ -128,9 +127,8 @@ TEST_F(CancellationRetrievalTest, ExpiredDeadlineDegradesLikeCancellation) {
 }
 
 TEST_F(CancellationRetrievalTest, FarDeadlineMatchesNoDeadlineByteForByte) {
-  // A deadline that never fires still routes the fan-out through the
-  // cancellable collection path; the ranking and every cost counter must
-  // not notice.
+  // A deadline that never fires still turns on every Step-7 poll; the
+  // ranking and every cost counter must not notice.
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
   HmmmTraversal plain(model_, catalog_, TraversalOptions{});
   RetrievalStats plain_stats;
@@ -139,20 +137,17 @@ TEST_F(CancellationRetrievalTest, FarDeadlineMatchesNoDeadlineByteForByte) {
   ASSERT_FALSE(reference->empty());
 
   CancellationToken unfired;
-  for (int threads : {1, 2, 4, 8}) {
-    TraversalOptions options;
-    options.num_threads = threads;
-    options.deadline = DeadlineAfter(std::chrono::hours(1));
-    options.cancellation = &unfired;
-    HmmmTraversal traversal(model_, catalog_, options);
-    RetrievalStats stats;
-    auto results = traversal.Retrieve(pattern, &stats);
-    ASSERT_TRUE(results.ok()) << threads << " threads";
-    ExpectIdenticalResults(*reference, *results);
-    ExpectIdenticalCostCounters(plain_stats, stats);
-    EXPECT_FALSE(stats.degraded);
-    EXPECT_EQ(stats.videos_skipped, 0u);
-  }
+  TraversalOptions options;
+  options.deadline = DeadlineAfter(std::chrono::hours(1));
+  options.cancellation = &unfired;
+  HmmmTraversal traversal(model_, catalog_, options);
+  RetrievalStats stats;
+  auto results = traversal.Retrieve(pattern, &stats);
+  ASSERT_TRUE(results.ok());
+  ExpectIdenticalResults(*reference, *results);
+  ExpectIdenticalCostCounters(plain_stats, stats);
+  EXPECT_FALSE(stats.degraded);
+  EXPECT_EQ(stats.videos_skipped, 0u);
 }
 
 TEST_F(CancellationRetrievalTest,
@@ -169,7 +164,6 @@ TEST_F(CancellationRetrievalTest,
   for (const auto budget :
        {microseconds(0), microseconds(200), microseconds(1000)}) {
     TraversalOptions options;
-    options.num_threads = 4;
     options.deadline = DeadlineAfter(budget);
     HmmmTraversal traversal(model_, catalog_, options);
     RetrievalStats stats;
@@ -194,7 +188,6 @@ TEST_F(CancellationRetrievalTest, MidFlightCancelStillYieldsConsistentPrefix) {
 
   CancellationToken token;
   TraversalOptions options;
-  options.num_threads = 4;
   options.cancellation = &token;
   HmmmTraversal traversal(model_, catalog_, options);
 

@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -43,6 +44,24 @@ void ExpectIdenticalResults(const std::vector<RetrievedPattern>& expected,
   }
 }
 
+/// The deterministic cost counters of an anytime result against its
+/// prefix reference: an aborted walk must leave none of its work behind,
+/// scorer evaluations included.
+void ExpectIdenticalCostCounters(const RetrievalStats& expected,
+                                 const RetrievalStats& actual) {
+  EXPECT_EQ(expected.videos_considered, actual.videos_considered);
+  EXPECT_EQ(expected.states_visited, actual.states_visited);
+  EXPECT_EQ(expected.sim_evaluations, actual.sim_evaluations);
+  EXPECT_EQ(expected.candidates_scored, actual.candidates_scored);
+  EXPECT_EQ(expected.beam_pruned, actual.beam_pruned);
+  EXPECT_EQ(expected.annotated_fallbacks, actual.annotated_fallbacks);
+  EXPECT_EQ(expected.sim_memo_hits, actual.sim_memo_hits);
+  EXPECT_EQ(expected.candidate_list_reuse, actual.candidate_list_reuse);
+  EXPECT_EQ(expected.heap_pops, actual.heap_pops);
+  EXPECT_EQ(expected.grid_cells_skipped, actual.grid_cells_skipped);
+  EXPECT_EQ(expected.truncated, actual.truncated);
+}
+
 class ChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -58,7 +77,7 @@ class ChaosTest : public ::testing::Test {
   HierarchicalModel model_;
 };
 
-TEST_F(ChaosTest, ForcedDeadlineCutoffIsByteIdenticalAtEveryThreadCount) {
+TEST_F(ChaosTest, ForcedDeadlineCutoffIsByteIdenticalToThePrefix) {
   SKIP_WITHOUT_FAULT_INJECTION();
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
   // Fix the visiting order while nothing is armed, so every run below
@@ -75,29 +94,25 @@ TEST_F(ChaosTest, ForcedDeadlineCutoffIsByteIdenticalAtEveryThreadCount) {
   config.arg_threshold = kCutoff;
   FaultInjector::Instance().Arm("traversal.deadline_at_video", config);
 
-  std::vector<std::vector<RetrievedPattern>> runs;
-  for (int threads : {1, 2, 4, 8}) {
-    TraversalOptions options;
-    options.num_threads = threads;
-    HmmmTraversal traversal(model_, catalog_, options);
-    RetrievalStats stats;
-    auto results = traversal.RetrieveWithVideoOrder(pattern, order, &stats);
-    ASSERT_TRUE(results.ok()) << threads << " threads";
-    EXPECT_TRUE(stats.degraded) << threads << " threads";
-    EXPECT_EQ(stats.videos_skipped,
-              order.size() - static_cast<size_t>(kCutoff))
-        << threads << " threads";
-    runs.push_back(std::move(results).value());
-  }
+  HmmmTraversal traversal(model_, catalog_, TraversalOptions{});
+  RetrievalStats stats;
+  auto results = traversal.RetrieveWithVideoOrder(pattern, order, &stats);
+  ASSERT_TRUE(results.ok());
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.videos_skipped,
+            order.size() - static_cast<size_t>(kCutoff));
 
-  // The anytime result is the full retrieval over order[0, C) — computed
-  // with the injector quiet — and identical at every thread count.
+  // The anytime result is the full retrieval over order[0, C), computed
+  // with the injector quiet.
   FaultInjector::Instance().Reset();
   const std::vector<VideoId> prefix(order.begin(), order.begin() + kCutoff);
-  auto reference = plain.RetrieveWithVideoOrder(pattern, prefix);
+  RetrievalStats reference_stats;
+  auto reference =
+      plain.RetrieveWithVideoOrder(pattern, prefix, &reference_stats);
   ASSERT_TRUE(reference.ok());
   ASSERT_FALSE(reference->empty());
-  for (auto& run : runs) ExpectIdenticalResults(*reference, run);
+  ExpectIdenticalResults(*reference, *results);
+  ExpectIdenticalCostCounters(reference_stats, stats);
 }
 
 TEST_F(ChaosTest, MidWalkFaultAbortsTheWalkAndPinsTheCutoff) {
@@ -112,20 +127,79 @@ TEST_F(ChaosTest, MidWalkFaultAbortsTheWalkAndPinsTheCutoff) {
   config.arg_threshold = 3;
   FaultInjector::Instance().Arm("traversal.walk_fault", config);
 
-  TraversalOptions options;
-  options.num_threads = 4;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, catalog_, TraversalOptions{});
   RetrievalStats stats;
   auto results = traversal.RetrieveWithVideoOrder(pattern, order, &stats);
   ASSERT_TRUE(results.ok());
   EXPECT_TRUE(stats.degraded);
   EXPECT_EQ(stats.videos_skipped, order.size() - 3u);
 
+  // The walk at index 3 had already paid scorer evaluations and heap pops
+  // before its poll fired; the counters must still equal the prefix's.
   FaultInjector::Instance().Reset();
   const std::vector<VideoId> prefix(order.begin(), order.begin() + 3);
-  auto reference = plain.RetrieveWithVideoOrder(pattern, prefix);
+  RetrievalStats reference_stats;
+  auto reference =
+      plain.RetrieveWithVideoOrder(pattern, prefix, &reference_stats);
   ASSERT_TRUE(reference.ok());
   ExpectIdenticalResults(*reference, *results);
+  ExpectIdenticalCostCounters(reference_stats, stats);
+}
+
+TEST_F(ChaosTest, WalkAbortedAfterPayingRollsBackItsCounters) {
+  SKIP_WITHOUT_FAULT_INJECTION();
+  const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
+  HmmmTraversal plain(model_, catalog_, TraversalOptions{});
+  const std::vector<VideoId> order = plain.VideoOrder(pattern);
+
+  // An armed point that never fires still makes every walk poll it once
+  // per pattern step past the first. Count the polls of order prefixes.
+  const auto polls_through = [&](size_t n) -> uint64_t {
+    FaultInjector::Instance().Reset();
+    FaultPointConfig quiet;
+    quiet.arg_threshold = std::numeric_limits<int64_t>::max();
+    FaultInjector::Instance().Arm("traversal.walk_fault", quiet);
+    const std::vector<VideoId> prefix(order.begin(),
+                                      order.begin() + static_cast<long>(n));
+    EXPECT_TRUE(plain.RetrieveWithVideoOrder(pattern, prefix).ok());
+    for (const FaultPointStats& point : FaultInjector::Instance().Snapshot()) {
+      if (point.point == "traversal.walk_fault") return point.hits;
+    }
+    return 0;
+  };
+  // The victim is the first walk that reaches its second poll: by then it
+  // has paid the deferred evaluations of its first-step winners.
+  size_t victim = order.size();
+  uint64_t polls_before = 0;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const uint64_t before = polls_through(k);
+    if (polls_through(k + 1) - before >= 2) {
+      victim = k;
+      polls_before = before;
+      break;
+    }
+  }
+  ASSERT_LT(victim, order.size());
+
+  FaultInjector::Instance().Reset();
+  FaultPointConfig config;
+  config.after_hits = static_cast<int64_t>(polls_before) + 1;
+  FaultInjector::Instance().Arm("traversal.walk_fault", config);
+  RetrievalStats stats;
+  auto results = plain.RetrieveWithVideoOrder(pattern, order, &stats);
+  ASSERT_TRUE(results.ok());
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.videos_skipped, order.size() - victim);
+
+  FaultInjector::Instance().Reset();
+  const std::vector<VideoId> prefix(order.begin(),
+                                    order.begin() + static_cast<long>(victim));
+  RetrievalStats reference_stats;
+  auto reference =
+      plain.RetrieveWithVideoOrder(pattern, prefix, &reference_stats);
+  ASSERT_TRUE(reference.ok());
+  ExpectIdenticalResults(*reference, *results);
+  ExpectIdenticalCostCounters(reference_stats, stats);
 }
 
 TEST_F(ChaosTest, OrderingFaultDegradesToEmptyOrder) {
@@ -142,34 +216,6 @@ TEST_F(ChaosTest, OrderingFaultDegradesToEmptyOrder) {
   EXPECT_TRUE(results->empty());
   EXPECT_TRUE(stats.degraded);
   EXPECT_EQ(stats.videos_skipped, catalog_.num_videos());
-}
-
-TEST_F(ChaosTest, WorkerFaultSurfacesAsInternalErrorNotACrash) {
-  SKIP_WITHOUT_FAULT_INJECTION();
-  FaultPointConfig config;
-  config.probability = 1.0;
-  FaultInjector::Instance().Arm("threadpool.task", config);
-
-  TraversalOptions options;
-  options.num_threads = 4;
-  HmmmTraversal traversal(model_, catalog_, options);
-  const auto pattern = TemporalPattern::FromEvents({2, 0});
-  // The pattern is validated and the order computed before the fan-out;
-  // the injected worker exception must come back as a Status.
-  HmmmTraversal plain(model_, catalog_, TraversalOptions{});
-  const std::vector<VideoId> order = plain.VideoOrder(pattern);
-  auto results = traversal.RetrieveWithVideoOrder(pattern, order);
-  ASSERT_FALSE(results.ok());
-  EXPECT_EQ(results.status().code(), StatusCode::kInternal);
-  EXPECT_NE(results.status().message().find("injected fault"),
-            std::string::npos)
-      << results.status();
-
-  // The pool survived: disarm and the same traversal answers normally.
-  FaultInjector::Instance().Reset();
-  auto healthy = traversal.RetrieveWithVideoOrder(pattern, order);
-  ASSERT_TRUE(healthy.ok());
-  EXPECT_FALSE(healthy->empty());
 }
 
 TEST_F(ChaosTest, FutureTaskFaultPropagatesThroughTheFuture) {

@@ -356,7 +356,9 @@ TEST(EngineCacheTest, QueryMetricsCountHitsAndLatency) {
   EXPECT_NE(prometheus.find("hmmm_queries_total 2"), std::string::npos);
   EXPECT_NE(prometheus.find("hmmm_query_latency_ms_count 2"),
             std::string::npos);
-  EXPECT_NE(prometheus.find("hmmm_pool_workers"), std::string::npos);
+  EXPECT_NE(prometheus.find("hmmm_model_version"), std::string::npos);
+  // Queries run on their calling thread: the engine owns no pool.
+  EXPECT_EQ(prometheus.find("hmmm_pool_"), std::string::npos);
   const std::string json = engine->DumpMetricsJson();
   EXPECT_NE(json.find("\"hmmm_queries_total\":2"), std::string::npos);
   EXPECT_NE(json.find("\"hmmm_query_latency_ms\""), std::string::npos);

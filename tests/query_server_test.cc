@@ -5,6 +5,7 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -181,13 +182,10 @@ TEST(QueryServerTest, SaturatedAdmissionShedsRetriablyAndClientRecovers) {
   db_options.admission.max_queued = 0;
   db_options.query_cache_entries = 0;  // every request does real work
   // Make each query occupy the admission slot for a measurable time
-  // (large corpus, wide beam, long patterns below). Parallel traversal
-  // matters even more: the executing worker *blocks* on the traversal
-  // pool while holding the slot, which yields the CPU and lets a
-  // competing worker reach the admission check even on a single core.
+  // (large corpus, wide beam, long patterns below), so a competing
+  // worker reaches the admission check while the slot is held.
   db_options.traversal.beam_width = 64;
   db_options.traversal.max_results = 64;
-  db_options.traversal.num_threads = 4;
   auto created = VideoDatabase::Create(testing::GeneratedSoccerCatalog(3, 64),
                                        db_options);
   ASSERT_TRUE(created.ok()) << created.status();
@@ -338,6 +336,34 @@ TEST(QueryServerTest, MetricsExposesServerFamilies) {
             std::string::npos);
   EXPECT_NE(metrics->prometheus_text.find("hmmm_server_connections_open"),
             std::string::npos);
+}
+
+TEST(QueryServerTest, MetricsScrapeReportsTheSnapshotOpen) {
+  // A snapshot opened without a caller-supplied metrics sink records its
+  // open into the database's own registry, so the daemon's scrape shows
+  // it.
+  const std::string path = testing::TempPath("served.hmms");
+  {
+    VideoDatabase heap = MakeDatabase();
+    ASSERT_TRUE(
+        heap.WriteSnapshot(path, SnapshotWriteOptions{.generation = 7}).ok());
+  }
+  auto opened = VideoDatabase::OpenSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  VideoDatabase db = std::move(opened).value();
+  QueryServer server(&db);
+  ASSERT_TRUE(server.Start().ok());
+
+  QueryClient client(ClientOptions(server.port()));
+  const auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const std::string& text = metrics->prometheus_text;
+  EXPECT_NE(text.find("hmmm_snapshot_generation 7\n"), std::string::npos);
+  EXPECT_NE(text.find("hmmm_snapshot_open_ms_count 1\n"), std::string::npos);
+  const std::string mapped_bytes =
+      "hmmm_snapshot_mapped_bytes " +
+      std::to_string(std::filesystem::file_size(path)) + "\n";
+  EXPECT_NE(text.find(mapped_bytes), std::string::npos) << text;
 }
 
 TEST(QueryServerTest, FeedbackRoundTripTrainsTheModel) {

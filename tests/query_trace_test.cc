@@ -157,24 +157,14 @@ TEST(QueryTraceTest, ClearResetsTheTrace) {
 
 /// The comparable skeleton of a trace: per-span name + counters in
 /// pre-order. Span ids, parents and wall times legitimately differ across
-/// thread counts; names, structure and the deterministic counters must
-/// not. The fan-out's "candidates" tally is excluded: each shard retains
-/// its own top-K, so the pre-merge union varies with the shard count.
+/// runs; names, structure and the deterministic counters must not.
 using SpanSkeleton =
     std::pair<std::string, std::vector<std::pair<std::string, uint64_t>>>;
 
 std::vector<SpanSkeleton> Skeleton(const QueryTrace& trace) {
   std::vector<SpanSkeleton> out;
   for (const TraceSpan& span : trace.Spans()) {
-    std::vector<std::pair<std::string, uint64_t>> counters;
-    for (const auto& counter : span.counters) {
-      if (span.name == "step7_video_fanout" &&
-          counter.first == "candidates") {
-        continue;
-      }
-      counters.push_back(counter);
-    }
-    out.emplace_back(span.name, std::move(counters));
+    out.emplace_back(span.name, span.counters);
   }
   return out;
 }
@@ -225,49 +215,57 @@ TEST_F(TracedRetrievalTest, SerialWalkProducesThePaperPhaseStructure) {
   EXPECT_GE(scores, results->size());
 }
 
-TEST_F(TracedRetrievalTest, SpanSkeletonIsIdenticalAcrossThreadCounts) {
+TEST_F(TracedRetrievalTest, SpanSkeletonIsIdenticalAcrossRuns) {
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
-  QueryTrace serial_trace;
-  TraversalOptions serial_options;
-  serial_options.trace = &serial_trace;
-  HmmmTraversal serial(model_, catalog_, serial_options);
-  ASSERT_TRUE(serial.Retrieve(pattern).ok());
-  const std::vector<SpanSkeleton> reference = Skeleton(serial_trace);
+  QueryTrace first_trace;
+  TraversalOptions options;
+  options.trace = &first_trace;
+  HmmmTraversal first(model_, catalog_, options);
+  ASSERT_TRUE(first.Retrieve(pattern).ok());
+  const std::vector<SpanSkeleton> reference = Skeleton(first_trace);
   ASSERT_FALSE(reference.empty());
 
-  for (int threads : {2, 4}) {
+  for (int run = 0; run < 3; ++run) {
     QueryTrace trace;
-    TraversalOptions options;
-    options.num_threads = threads;
     options.trace = &trace;
-    HmmmTraversal parallel(model_, catalog_, options);
-    ASSERT_TRUE(parallel.Retrieve(pattern).ok());
-    EXPECT_EQ(Skeleton(trace), reference) << threads << " threads";
+    HmmmTraversal again(model_, catalog_, options);
+    ASSERT_TRUE(again.Retrieve(pattern).ok());
+    EXPECT_EQ(Skeleton(trace), reference) << "run " << run;
   }
 }
 
 TEST_F(TracedRetrievalTest, TracingOnAndOffRankIdentically) {
-  const auto pattern = TemporalPattern::FromEvents({2, 0});
-  for (int threads : {1, 4}) {
-    TraversalOptions plain_options;
-    plain_options.num_threads = threads;
-    HmmmTraversal plain(model_, catalog_, plain_options);
-    auto reference = plain.Retrieve(pattern);
+  // Span recording happens outside the score math: the ranking and every
+  // cost counter must not notice an attached trace.
+  for (const auto& pattern : {TemporalPattern::FromEvents({2, 0}),
+                              TemporalPattern::FromEvents({2, 0, 1})}) {
+    HmmmTraversal plain(model_, catalog_);
+    RetrievalStats plain_stats;
+    auto reference = plain.Retrieve(pattern, &plain_stats);
     ASSERT_TRUE(reference.ok());
+    ASSERT_FALSE(reference->empty());
 
     QueryTrace trace;
-    TraversalOptions traced_options = plain_options;
+    TraversalOptions traced_options;
     traced_options.trace = &trace;
     HmmmTraversal traced(model_, catalog_, traced_options);
-    auto results = traced.Retrieve(pattern);
+    RetrievalStats stats;
+    auto results = traced.Retrieve(pattern, &stats);
     ASSERT_TRUE(results.ok());
+    EXPECT_FALSE(trace.Spans().empty());
 
-    ASSERT_EQ(reference->size(), results->size()) << threads << " threads";
+    ASSERT_EQ(reference->size(), results->size());
     for (size_t i = 0; i < reference->size(); ++i) {
       EXPECT_EQ((*reference)[i].shots, (*results)[i].shots);
       EXPECT_EQ((*reference)[i].score, (*results)[i].score);
+      EXPECT_EQ((*reference)[i].video, (*results)[i].video);
       EXPECT_EQ((*reference)[i].edge_weights, (*results)[i].edge_weights);
     }
+    EXPECT_EQ(plain_stats.states_visited, stats.states_visited);
+    EXPECT_EQ(plain_stats.sim_evaluations, stats.sim_evaluations);
+    EXPECT_EQ(plain_stats.heap_pops, stats.heap_pops);
+    EXPECT_EQ(plain_stats.candidates_scored, stats.candidates_scored);
+    EXPECT_EQ(plain_stats.beam_pruned, stats.beam_pruned);
   }
 }
 

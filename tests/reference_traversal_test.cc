@@ -1,10 +1,9 @@
 // Equivalence oracle for the query-plan layer: a straight port of the
 // pre-plan traversal (per-call B2 scans, per-shot catalog annotation
-// checks, O(length) path copies, one un-memoized scorer) run serially.
+// checks, O(length) path copies, one un-memoized scorer).
 // HmmmTraversal must reproduce its rankings, scores, edge weights and
-// deterministic cost counters bit-for-bit at every thread count, with and
-// without tracing — the query-plan layer is an optimization, never a
-// semantic change.
+// deterministic cost counters bit-for-bit, with and without tracing — the
+// query-plan layer is an optimization, never a semantic change.
 
 #include <gtest/gtest.h>
 
@@ -442,84 +441,54 @@ TEST_P(ReferenceEquivalenceTest, PlanLayerIsByteIdenticalToTheNaiveWalk) {
     const std::vector<RetrievedPattern> expected =
         reference.Retrieve(workload.pattern, &ref_stats);
 
-    for (int threads : {1, 2, 4, 8}) {
-      for (bool traced : {false, true}) {
-        const std::string label =
-            workload.name + " threads=" + std::to_string(threads) +
-            (traced ? " traced" : "");
-        QueryTrace trace;
-        TraversalOptions options = workload.options;
-        options.num_threads = threads;
-        options.trace = traced ? &trace : nullptr;
-        HmmmTraversal traversal(model, catalog, options);
-        RetrievalStats stats;
-        auto results = traversal.Retrieve(workload.pattern, &stats);
-        ASSERT_TRUE(results.ok()) << label;
-        ExpectIdenticalResults(expected, *results, label);
+    for (bool traced : {false, true}) {
+      const std::string label = workload.name + (traced ? " traced" : "");
+      QueryTrace trace;
+      TraversalOptions options = workload.options;
+      options.trace = traced ? &trace : nullptr;
+      HmmmTraversal traversal(model, catalog, options);
+      RetrievalStats stats;
+      auto results = traversal.Retrieve(workload.pattern, &stats);
+      ASSERT_TRUE(results.ok()) << label;
+      ExpectIdenticalResults(expected, *results, label);
 
-        // Deterministic cost counters match the naive walk exactly...
-        EXPECT_EQ(stats.videos_considered, ref_stats.videos_considered)
-            << label;
-        EXPECT_EQ(stats.states_visited, ref_stats.states_visited) << label;
-        EXPECT_EQ(stats.candidates_scored, ref_stats.candidates_scored)
-            << label;
-        EXPECT_EQ(stats.beam_pruned, ref_stats.beam_pruned) << label;
-        EXPECT_EQ(stats.annotated_fallbacks, ref_stats.annotated_fallbacks)
-            << label;
-        EXPECT_EQ(stats.truncated, ref_stats.truncated) << label;
-        // ...while the evaluation effort only shrinks: the memo removes
-        // work the naive walk duplicated, and the cube-pruned frontier
-        // charges a query-time evaluation only to cells whose weight is
-        // actually consumed (plus each video's Step-6 argmax), never to
-        // the cells its precomputed priorities prove away.
-        EXPECT_LE(stats.sim_evaluations, ref_stats.sim_evaluations) << label;
-        // Every grid cell resolves to exactly one of paid (heap_pops) or
-        // proved-away (grid_cells_skipped).
-        EXPECT_EQ(stats.states_visited,
-                  stats.heap_pops + stats.grid_cells_skipped)
-            << label;
-        if (workload.options.beam_width == 1) {
-          // A beam-1 walk follows a single path, so each (state, step)
-          // pair is paid at most once: the memo never fires.
-          EXPECT_EQ(stats.sim_memo_hits, 0u) << label;
-        }
+      // Deterministic cost counters match the naive walk exactly...
+      EXPECT_EQ(stats.videos_considered, ref_stats.videos_considered)
+          << label;
+      EXPECT_EQ(stats.states_visited, ref_stats.states_visited) << label;
+      EXPECT_EQ(stats.candidates_scored, ref_stats.candidates_scored)
+          << label;
+      EXPECT_EQ(stats.beam_pruned, ref_stats.beam_pruned) << label;
+      EXPECT_EQ(stats.annotated_fallbacks, ref_stats.annotated_fallbacks)
+          << label;
+      EXPECT_EQ(stats.truncated, ref_stats.truncated) << label;
+      // ...while the evaluation effort only shrinks: the memo removes
+      // work the naive walk duplicated, and the cube-pruned frontier
+      // charges a query-time evaluation only to cells whose weight is
+      // actually consumed (plus each video's Step-6 argmax), never to
+      // the cells its precomputed priorities prove away.
+      EXPECT_LE(stats.sim_evaluations, ref_stats.sim_evaluations) << label;
+      // Every grid cell resolves to exactly one of paid (heap_pops) or
+      // proved-away (grid_cells_skipped).
+      EXPECT_EQ(stats.states_visited,
+                stats.heap_pops + stats.grid_cells_skipped)
+          << label;
+      if (workload.options.beam_width == 1) {
+        // A beam-1 walk follows a single path, so each (state, step)
+        // pair is paid at most once: the memo never fires.
+        EXPECT_EQ(stats.sim_memo_hits, 0u) << label;
       }
     }
-
-    // The per-walk cache scope makes every counter — including memo hits
-    // and scorer evaluations — thread-count-invariant: re-run at 1 and 8
-    // threads and demand full stats equality.
-    TraversalOptions serial_options = workload.options;
-    HmmmTraversal serial(model, catalog, serial_options);
-    RetrievalStats serial_stats;
-    ASSERT_TRUE(serial.Retrieve(workload.pattern, &serial_stats).ok());
-    TraversalOptions wide_options = workload.options;
-    wide_options.num_threads = 8;
-    HmmmTraversal wide(model, catalog, wide_options);
-    RetrievalStats wide_stats;
-    ASSERT_TRUE(wide.Retrieve(workload.pattern, &wide_stats).ok());
-    EXPECT_EQ(serial_stats.sim_evaluations, wide_stats.sim_evaluations)
-        << workload.name;
-    EXPECT_EQ(serial_stats.sim_memo_hits, wide_stats.sim_memo_hits)
-        << workload.name;
-    EXPECT_EQ(serial_stats.candidate_list_reuse,
-              wide_stats.candidate_list_reuse)
-        << workload.name;
-    EXPECT_EQ(serial_stats.heap_pops, wide_stats.heap_pops) << workload.name;
-    EXPECT_EQ(serial_stats.grid_cells_skipped, wide_stats.grid_cells_skipped)
-        << workload.name;
   }
 }
 
-// The tentpole's acceptance sweep: the cube-pruned best-first traversal
-// against the reference breadth-first walk across beams {1, 2, 8, 16},
-// thread counts {1, 2, 4, 8} and both Eq.-14 kernels (runtime pick vs.
-// forced scalar). Rankings, scores and edge weights must be
-// byte-identical in every cell of the grid; the new heap_pops /
-// grid_cells_skipped counters must be invariant across thread counts and
-// kernel choices (they are per-walk deterministic and kernels produce
-// identical bits), and every visited grid cell must resolve to exactly
-// one of the two.
+// The acceptance sweep: the cube-pruned best-first traversal against the
+// reference breadth-first walk across beams {1, 2, 8, 16} and both
+// Eq.-14 kernels (runtime pick vs. forced scalar). Rankings, scores and
+// edge weights must be byte-identical in every cell of the grid; the
+// heap_pops / grid_cells_skipped counters must be invariant across
+// kernel choices (kernels produce identical bits), and every visited
+// grid cell must resolve to exactly one of the two.
 TEST_P(ReferenceEquivalenceTest, CubePrunedSweepIsByteIdenticalEverywhere) {
   const VideoCatalog catalog =
       testing::GeneratedSoccerCatalog(GetParam(), /*num_videos=*/14);
@@ -541,42 +510,37 @@ TEST_P(ReferenceEquivalenceTest, CubePrunedSweepIsByteIdenticalEverywhere) {
     size_t first_skipped = 0;
     size_t first_evaluations = 0;
     for (bool force_scalar : {false, true}) {
-      for (int threads : {1, 2, 4, 8}) {
-        const std::string label =
-            "beam=" + std::to_string(beam) +
-            " threads=" + std::to_string(threads) +
-            (force_scalar ? " kernel=scalar" : " kernel=auto");
-        TraversalOptions options;
-        options.beam_width = beam;
-        options.num_threads = threads;
-        options.scorer.force_scalar_kernel = force_scalar;
-        HmmmTraversal traversal(model, catalog, options);
-        RetrievalStats stats;
-        auto results = traversal.Retrieve(pattern, &stats);
-        ASSERT_TRUE(results.ok()) << label;
-        ExpectIdenticalResults(expected, *results, label);
+      const std::string label =
+          "beam=" + std::to_string(beam) +
+          (force_scalar ? " kernel=scalar" : " kernel=auto");
+      TraversalOptions options;
+      options.beam_width = beam;
+      options.scorer.force_scalar_kernel = force_scalar;
+      HmmmTraversal traversal(model, catalog, options);
+      RetrievalStats stats;
+      auto results = traversal.Retrieve(pattern, &stats);
+      ASSERT_TRUE(results.ok()) << label;
+      ExpectIdenticalResults(expected, *results, label);
 
-        // Structural counters are pinned to the reference walk.
-        EXPECT_EQ(stats.states_visited, ref_stats.states_visited) << label;
-        EXPECT_EQ(stats.beam_pruned, ref_stats.beam_pruned) << label;
-        EXPECT_LE(stats.sim_evaluations, ref_stats.sim_evaluations) << label;
-        EXPECT_EQ(stats.states_visited,
-                  stats.heap_pops + stats.grid_cells_skipped)
-            << label;
+      // Structural counters are pinned to the reference walk.
+      EXPECT_EQ(stats.states_visited, ref_stats.states_visited) << label;
+      EXPECT_EQ(stats.beam_pruned, ref_stats.beam_pruned) << label;
+      EXPECT_LE(stats.sim_evaluations, ref_stats.sim_evaluations) << label;
+      EXPECT_EQ(stats.states_visited,
+                stats.heap_pops + stats.grid_cells_skipped)
+          << label;
 
-        // The pay/skip split is identical in every sweep cell: thread
-        // count cannot move it (per-walk determinism) and neither can the
-        // kernel (bit-identical sims select bit-identical winners).
-        if (!have_first) {
-          first_heap_pops = stats.heap_pops;
-          first_skipped = stats.grid_cells_skipped;
-          first_evaluations = stats.sim_evaluations;
-          have_first = true;
-        }
-        EXPECT_EQ(stats.heap_pops, first_heap_pops) << label;
-        EXPECT_EQ(stats.grid_cells_skipped, first_skipped) << label;
-        EXPECT_EQ(stats.sim_evaluations, first_evaluations) << label;
+      // The pay/skip split is identical for both kernels: bit-identical
+      // sims select bit-identical winners.
+      if (!have_first) {
+        first_heap_pops = stats.heap_pops;
+        first_skipped = stats.grid_cells_skipped;
+        first_evaluations = stats.sim_evaluations;
+        have_first = true;
       }
+      EXPECT_EQ(stats.heap_pops, first_heap_pops) << label;
+      EXPECT_EQ(stats.grid_cells_skipped, first_skipped) << label;
+      EXPECT_EQ(stats.sim_evaluations, first_evaluations) << label;
     }
   }
 }

@@ -194,7 +194,7 @@ TEST_F(SnapshotTest, ImageIsDeterministicAndMatchesFile) {
   EXPECT_EQ(*bytes, first);
 }
 
-TEST_F(SnapshotTest, MappedRankingsMatchHeapAtEveryThreadCountAndKernel) {
+TEST_F(SnapshotTest, MappedRankingsMatchHeapAtEveryKernel) {
   VideoDatabaseOptions base;
   auto heap = VideoDatabase::Create(VideoCatalog(catalog_), base);
   ASSERT_TRUE(heap.ok()) << heap.status();
@@ -202,24 +202,20 @@ TEST_F(SnapshotTest, MappedRankingsMatchHeapAtEveryThreadCountAndKernel) {
 
   const std::vector<std::string> queries = {"free_kick ; goal", "goal",
                                             "corner_kick ; goal"};
-  for (int threads : {1, 2, 4}) {
-    for (bool scalar : {false, true}) {
-      VideoDatabaseOptions options;
-      options.traversal.num_threads = threads;
-      options.traversal.scorer.force_scalar_kernel = scalar;
-      auto heap_db = VideoDatabase::Create(VideoCatalog(catalog_), options);
-      ASSERT_TRUE(heap_db.ok()) << heap_db.status();
-      auto mapped_db = VideoDatabase::OpenSnapshot(path_, options);
-      ASSERT_TRUE(mapped_db.ok()) << mapped_db.status();
-      for (const std::string& query : queries) {
-        auto expected = heap_db->Query(query);
-        ASSERT_TRUE(expected.ok()) << expected.status();
-        auto actual = mapped_db->Query(query);
-        ASSERT_TRUE(actual.ok()) << actual.status();
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " scalar=" + std::to_string(scalar) + " query=" + query);
-        ExpectIdenticalResults(*expected, *actual);
-      }
+  for (bool scalar : {false, true}) {
+    VideoDatabaseOptions options;
+    options.traversal.scorer.force_scalar_kernel = scalar;
+    auto heap_db = VideoDatabase::Create(VideoCatalog(catalog_), options);
+    ASSERT_TRUE(heap_db.ok()) << heap_db.status();
+    auto mapped_db = VideoDatabase::OpenSnapshot(path_, options);
+    ASSERT_TRUE(mapped_db.ok()) << mapped_db.status();
+    for (const std::string& query : queries) {
+      auto expected = heap_db->Query(query);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      auto actual = mapped_db->Query(query);
+      ASSERT_TRUE(actual.ok()) << actual.status();
+      SCOPED_TRACE("scalar=" + std::to_string(scalar) + " query=" + query);
+      ExpectIdenticalResults(*expected, *actual);
     }
   }
 }

@@ -1,7 +1,16 @@
 #ifndef HMMM_TESTS_TEST_UTIL_H_
 #define HMMM_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cctype>
+#include <cstdlib>
+#include <filesystem>
+#include <map>
+#include <mutex>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/logging.h"
@@ -76,10 +85,61 @@ inline VideoCatalog GeneratedSoccerCatalog(uint64_t seed = 3,
   return std::move(catalog).value();
 }
 
-/// Temp-file path helper (unique per test invocation).
+/// Owns the per-test scratch directories TempPath hands out and removes
+/// them, contents included, when the test process exits.
+class TempDirs {
+ public:
+  static TempDirs& Instance() {
+    static TempDirs dirs;
+    return dirs;
+  }
+
+  /// $TMPDIR/hmmm-<pid>-<suite>.<test>, created empty on first use. The
+  /// pid keeps test processes that run in parallel (gtest_discover_tests
+  /// starts one per test) apart; the test name keeps the tests of one
+  /// process apart.
+  std::string ForCurrentTest() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::string test =
+        info != nullptr
+            ? std::string(info->test_suite_name()) + "." + info->name()
+            : std::string("no_test");
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = dirs_.find(test);
+    if (it != dirs_.end()) return it->second;
+    std::string leaf = "hmmm-" + std::to_string(::getpid()) + "-" + test;
+    for (char& c : leaf) {
+      if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '-' &&
+          c != '.' && c != '_') {
+        c = '_';  // parameterized names carry '/'
+      }
+    }
+    const char* root = ::getenv("TMPDIR");
+    const std::filesystem::path dir =
+        std::filesystem::path(root != nullptr ? root : "/tmp") / leaf;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dirs_.emplace(test, dir.string()).first->second;
+  }
+
+  ~TempDirs() {
+    for (const auto& entry : dirs_) {
+      std::error_code ignored;
+      std::filesystem::remove_all(entry.second, ignored);
+    }
+  }
+
+ private:
+  TempDirs() = default;
+
+  std::mutex mutex_;
+  std::map<std::string, std::string> dirs_;  // test name -> directory
+};
+
+/// Temp-file path unique to the running test and process (see TempDirs).
 inline std::string TempPath(const std::string& name) {
-  const char* dir = ::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
+  return TempDirs::Instance().ForCurrentTest() + "/" + name;
 }
 
 }  // namespace hmmm::testing

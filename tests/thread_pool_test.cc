@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -18,13 +17,6 @@ TEST(ThreadPoolTest, ResolveThreadCount) {
   EXPECT_EQ(ThreadPool::ResolveThreadCount(1), 1);
   EXPECT_GE(ThreadPool::ResolveThreadCount(0), 1);
   EXPECT_GE(ThreadPool::ResolveThreadCount(-3), 1);
-}
-
-TEST(ThreadPoolTest, MakeThreadPoolSkipsSerialCounts) {
-  EXPECT_EQ(MakeThreadPool(1), nullptr);
-  auto pool = MakeThreadPool(3);
-  ASSERT_NE(pool, nullptr);
-  EXPECT_EQ(pool->size(), 3);
 }
 
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {
@@ -55,80 +47,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
     }
   }  // ~ThreadPool joins after the queue drains
   EXPECT_EQ(completed.load(), 32);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  constexpr size_t kN = 1000;
-  ThreadPool pool(4);
-  std::vector<int> counts(kN, 0);
-  // Chunks are claimed via a unique fetch_add, so each index is touched
-  // by exactly one worker and the unsynchronized increment is safe.
-  pool.ParallelFor(kN, 7, [&](int /*worker*/, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) ++counts[i];
-  });
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0),
-            static_cast<int>(kN));
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i], 1) << "index " << i;
-}
-
-TEST(ThreadPoolTest, ParallelForWorkerIdsAreDense) {
-  ThreadPool pool(3);
-  std::atomic<int> max_worker{-1};
-  pool.ParallelFor(100, 1, [&](int worker, size_t, size_t) {
-    int seen = max_worker.load();
-    while (worker > seen && !max_worker.compare_exchange_weak(seen, worker)) {
-    }
-  });
-  EXPECT_GE(max_worker.load(), 0);
-  EXPECT_LT(max_worker.load(), pool.size());
-}
-
-TEST(ThreadPoolTest, ParallelForEdgeCases) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(0, 1, [&](int, size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);  // n == 0 is a no-op
-
-  // Grain larger than n: one chunk spanning the whole range.
-  std::vector<std::pair<size_t, size_t>> ranges;
-  std::mutex mutex;
-  pool.ParallelFor(3, 100, [&](int, size_t begin, size_t end) {
-    std::lock_guard<std::mutex> lock(mutex);
-    ranges.emplace_back(begin, end);
-  });
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (std::pair<size_t, size_t>{0, 3}));
-
-  // Grain 0 is clamped to 1.
-  std::atomic<size_t> visited{0};
-  pool.ParallelFor(5, 0, [&](int, size_t begin, size_t end) {
-    visited += end - begin;
-  });
-  EXPECT_EQ(visited.load(), 5u);
-}
-
-TEST(ThreadPoolTest, ParallelForOnSingleWorkerPool) {
-  ThreadPool pool(1);
-  std::vector<int> counts(100, 0);
-  pool.ParallelFor(100, 10, [&](int worker, size_t begin, size_t end) {
-    EXPECT_EQ(worker, 0);
-    for (size_t i = begin; i < end; ++i) ++counts[i];
-  });
-  for (int c : counts) EXPECT_EQ(c, 1);
-}
-
-TEST(ThreadPoolTest, ParallelForStressPartialSums) {
-  ThreadPool pool(8);
-  constexpr size_t kN = 20000;
-  std::vector<long long> partial(static_cast<size_t>(pool.size()), 0);
-  pool.ParallelFor(kN, 1, [&](int worker, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      partial[static_cast<size_t>(worker)] += static_cast<long long>(i);
-    }
-  });
-  const long long total =
-      std::accumulate(partial.begin(), partial.end(), 0LL);
-  EXPECT_EQ(total, static_cast<long long>(kN) * (kN - 1) / 2);
 }
 
 TEST(ThreadPoolTest, ThrowingTaskDoesNotKillThePool) {
@@ -182,33 +100,15 @@ TEST(ThreadPoolTest, SubmitWithFutureDeliversResultAndException) {
   EXPECT_EQ(pool.stats().task_exceptions, 0u);
 }
 
-TEST(ThreadPoolTest, ParallelForRethrowsFirstBodyException) {
-  ThreadPool pool(4);
-  std::atomic<int> visited{0};
-  try {
-    pool.ParallelFor(100, 1, [&](int, size_t begin, size_t) {
-      if (begin == 5) throw std::runtime_error("body boom at 5");
-      visited.fetch_add(1);
-    });
-    FAIL() << "expected ParallelFor to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "body boom at 5");
-  }
-  // The pool is intact and immediately reusable after the failure.
-  std::atomic<size_t> count{0};
-  pool.ParallelFor(50, 3, [&](int, size_t begin, size_t end) {
-    count += end - begin;
-  });
-  EXPECT_EQ(count.load(), 50u);
-}
-
 TEST(ThreadPoolTest, ReusableAcrossCalls) {
   ThreadPool pool(4);
   for (int round = 0; round < 10; ++round) {
     std::atomic<size_t> visited{0};
-    pool.ParallelFor(100, 3, [&](int, size_t begin, size_t end) {
-      visited += end - begin;
-    });
+    std::vector<std::future<void>> done;
+    for (int task = 0; task < 25; ++task) {
+      done.push_back(pool.SubmitWithFuture([&visited] { visited += 4; }));
+    }
+    for (std::future<void>& f : done) f.get();
     EXPECT_EQ(visited.load(), 100u);
   }
 }
