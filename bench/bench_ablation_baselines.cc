@@ -17,7 +17,8 @@ void BM_Hmmm(benchmark::State& state) {
       MakeSoccerCatalog(static_cast<int>(state.range(0)), 31, 0.1);
   auto model = ModelBuilder(catalog).Build();
   HMMM_CHECK(model.ok());
-  HmmmTraversal traversal(*model, catalog);
+  const EventBitmapIndex event_index(*model, catalog);
+  HmmmTraversal traversal(*model, event_index);
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   for (auto _ : state) {
     auto results = traversal.Retrieve(pattern);
@@ -107,7 +108,8 @@ void PrintComparison() {
         options.beam_width = beam;
         options.max_results = 10;
         options.annotated_first = annotated_first;
-        HmmmTraversal traversal(*model, catalog, options);
+        const EventBitmapIndex event_index(*model, catalog);
+        HmmmTraversal traversal(*model, event_index, options);
         RetrievalStats stats;
         std::vector<RetrievedPattern> results;
         const double ms = MedianMillis([&] {

@@ -62,7 +62,8 @@ void BM_TwoLevelMixed(benchmark::State& state) {
   const MixedArchive archive = MakeMixedArchive(20, 20, 71);
   auto model = ModelBuilder(archive.catalog).Build();
   HMMM_CHECK(model.ok());
-  HmmmTraversal traversal(*model, archive.catalog);
+  const EventBitmapIndex index(*model, archive.catalog);
+  HmmmTraversal traversal(*model, index);
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   for (auto _ : state) {
     auto results = traversal.Retrieve(pattern);
@@ -79,7 +80,8 @@ void BM_ThreeLevelMixed(benchmark::State& state) {
   options.num_clusters = 2;
   auto categories = BuildCategoryLevel(*model, options);
   HMMM_CHECK(categories.ok());
-  ThreeLevelTraversal traversal(*model, archive.catalog, *categories);
+  const EventBitmapIndex index(*model, archive.catalog);
+  ThreeLevelTraversal traversal(*model, *categories, index);
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   for (auto _ : state) {
     auto results = traversal.Retrieve(pattern);
@@ -101,6 +103,7 @@ void PrintHierarchyTable() {
     cat_options.num_clusters = 2;
     auto categories = BuildCategoryLevel(*model, cat_options);
     HMMM_CHECK(categories.ok());
+    const EventBitmapIndex index(*model, archive.catalog);
 
     const std::vector<std::pair<std::string, TemporalPattern>> queries = {
         {"free_kick;goal", TemporalPattern::FromEvents({2, 0})},
@@ -112,7 +115,7 @@ void PrintHierarchyTable() {
       TraversalOptions options;
       options.max_results = 10;
 
-      HmmmTraversal two_level(*model, archive.catalog, options);
+      HmmmTraversal two_level(*model, index, options);
       RetrievalStats stats2;
       std::vector<RetrievedPattern> results2;
       const double ms2 = MedianMillis([&] {
@@ -129,8 +132,7 @@ void PrintHierarchyTable() {
            StrFormat("%6zu", stats2.sim_evaluations),
            Fmt("%5.2f", metrics2.precision_at_k)});
 
-      ThreeLevelTraversal three_level(*model, archive.catalog, *categories,
-                                      options);
+      ThreeLevelTraversal three_level(*model, *categories, index, options);
       RetrievalStats stats3;
       std::vector<RetrievedPattern> results3;
       const double ms3 = MedianMillis([&] {

@@ -59,7 +59,8 @@ void PrintWorkloadTable() {
   TraversalOptions options;
   options.beam_width = 4;
   options.max_results = 10;
-  HmmmTraversal traversal(*model, Catalog(), options);
+  const EventBitmapIndex index(*model, Catalog());
+  HmmmTraversal traversal(*model, index, options);
 
   Rng rng(7);
   std::map<size_t, std::pair<double, int>> by_length;  // len -> (P@10 sum, n)

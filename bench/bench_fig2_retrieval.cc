@@ -24,7 +24,8 @@ Scale MakeScale(int videos) {
 
 void BM_RetrieveTwoStep(benchmark::State& state) {
   const Scale scale = MakeScale(static_cast<int>(state.range(0)));
-  HmmmTraversal traversal(scale.model, scale.catalog);
+  const EventBitmapIndex index(scale.model, scale.catalog);
+  HmmmTraversal traversal(scale.model, index);
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   for (auto _ : state) {
     auto results = traversal.Retrieve(pattern);
@@ -50,7 +51,8 @@ void PrintFlowchartTable() {
        "lattice expansions", "sim() calls", "candidates"});
   for (int videos : {10, 25, 54, 100, 200}) {
     const Scale scale = MakeScale(videos);
-    HmmmTraversal traversal(scale.model, scale.catalog);
+    const EventBitmapIndex index(scale.model, scale.catalog);
+    HmmmTraversal traversal(scale.model, index);
     const auto pattern = TemporalPattern::FromEvents({2, 0});
     RetrievalStats stats;
     const double ms = MedianMillis([&] {
@@ -79,13 +81,14 @@ void PrintMemoTable() {
   Row({"beam", "latency ms", "sim() calls", "memo hits", "unmemoized",
        "saved"});
   const Scale scale = MakeScale(54);
+  const EventBitmapIndex index(scale.model, scale.catalog);
   // A four-step query: beams past 1 keep several survivor paths per step,
   // and every surviving path re-scores the shared candidate set.
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1, 3});
   for (int beam : {1, 2, 4, 8, 16}) {
     TraversalOptions options;
     options.beam_width = beam;
-    HmmmTraversal traversal(scale.model, scale.catalog, options);
+    HmmmTraversal traversal(scale.model, index, options);
     RetrievalStats stats;
     const double ms = MedianMillis([&] {
       stats = RetrievalStats();
@@ -128,13 +131,15 @@ void WriteFig2Json() {
     benchmark::DoNotOptimize(index);
   });
 
+  const EventBitmapIndex index(scale.model, scale.catalog);
+
   // Query-tier plan build: the traced walk exposes the phase directly.
   double plan_build_ms = -1.0;
   {
     QueryTrace trace;
     TraversalOptions options;
     options.trace = &trace;
-    HmmmTraversal traced(scale.model, scale.catalog, options);
+    HmmmTraversal traced(scale.model, index, options);
     HMMM_CHECK(traced.Retrieve(pattern).ok());
     plan_build_ms = SpanElapsedMs(trace, "query_plan_build");
   }
@@ -147,7 +152,7 @@ void WriteFig2Json() {
   for (int beam : {1, 2, 4, 8, 16}) {
     TraversalOptions options;
     options.beam_width = beam;
-    HmmmTraversal traversal(scale.model, scale.catalog, options);
+    HmmmTraversal traversal(scale.model, index, options);
     RetrievalStats stats;
     const double ms = MedianMillis([&] {
       stats = RetrievalStats();
@@ -176,7 +181,7 @@ void WriteFig2Json() {
     }));
   }
 
-  HmmmTraversal traversal(scale.model, scale.catalog);
+  HmmmTraversal traversal(scale.model, index);
   RetrievalStats stats;
   const double traversal_ms = MedianMillis([&] {
     stats = RetrievalStats();

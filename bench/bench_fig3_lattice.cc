@@ -27,6 +27,12 @@ const HierarchicalModel& Model() {
   return model;
 }
 
+const EventBitmapIndex& Index() {
+  static const EventBitmapIndex& index =
+      *new EventBitmapIndex(Model(), Catalog());
+  return index;
+}
+
 TemporalPattern PatternOfLength(size_t c) {
   // A soccer-plausible cycle of events.
   const std::vector<EventId> cycle = {2, 0, 1, 3, 4};  // fk,goal,corner,...
@@ -38,7 +44,7 @@ TemporalPattern PatternOfLength(size_t c) {
 void BM_LatticeTraversal(benchmark::State& state) {
   TraversalOptions options;
   options.beam_width = static_cast<int>(state.range(1));
-  HmmmTraversal traversal(Model(), Catalog(), options);
+  HmmmTraversal traversal(Model(), Index(), options);
   const auto pattern = PatternOfLength(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     auto results = traversal.Retrieve(pattern);
@@ -68,7 +74,7 @@ void PrintLatticeTable() {
     for (int beam : {1, 2, 4, 8}) {
       TraversalOptions options;
       options.beam_width = beam;
-      HmmmTraversal traversal(Model(), Catalog(), options);
+      HmmmTraversal traversal(Model(), Index(), options);
       RetrievalStats stats;
       double top = 0.0;
       const double ms = MedianMillis([&] {
@@ -102,7 +108,7 @@ void WriteFig3Json() {
     for (int beam : {1, 2, 4, 8}) {
       TraversalOptions options;
       options.beam_width = beam;
-      HmmmTraversal traversal(Model(), Catalog(), options);
+      HmmmTraversal traversal(Model(), Index(), options);
       RetrievalStats stats;
       double top = 0.0;
       const double ms = MedianMillis([&] {
@@ -149,7 +155,7 @@ void WriteFig3Json() {
   TraversalOptions traced_options;
   traced_options.beam_width = 4;
   traced_options.trace = &trace;
-  HmmmTraversal traced(Model(), Catalog(), traced_options);
+  HmmmTraversal traced(Model(), Index(), traced_options);
   HMMM_CHECK(traced.Retrieve(pattern).ok());
   const double plan_build_ms = SpanElapsedMs(trace, "query_plan_build");
 
@@ -176,7 +182,7 @@ void WriteFig3Json() {
       });
       TraversalOptions options = ab_options;
       options.scorer.force_scalar_kernel = force_scalar;
-      HmmmTraversal traversal(Model(), Catalog(), options, index.get());
+      HmmmTraversal traversal(Model(), *index, options);
       RetrievalStats stats;
       std::vector<RetrievedPattern> ranking;
       const double ms = MedianMillis([&] {

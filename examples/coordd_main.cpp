@@ -182,6 +182,11 @@ bool ApplyEndpointOverrides(const CoorddFlags& flags, hmmm::ShardMap* map) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // First, so a signal during start-up (shard map load, shard connects)
+  // is handled by the serving loop instead of killing the process.
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+  std::signal(SIGHUP, HandleReloadSignal);
   CoorddFlags flags;
   if (!ParseFlags(argc, argv, &flags)) {
     PrintUsage(argv[0]);
@@ -247,9 +252,6 @@ int main(int argc, char** argv) {
   std::printf("LISTENING port=%u\n", (*server)->port());
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  std::signal(SIGHUP, HandleReloadSignal);
   while (g_stop_requested == 0 && (*server)->running()) {
     if (g_reload_requested != 0) {
       g_reload_requested = 0;

@@ -2,20 +2,15 @@
 #define HMMM_API_VIDEO_DATABASE_H_
 
 #include <memory>
-#include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "core/category_level.h"
 #include "core/model_builder.h"
 #include "feedback/trainer.h"
-#include "observability/metrics_registry.h"
 #include "retrieval/admission.h"
+#include "retrieval/engine.h"
 #include "retrieval/qbe.h"
-#include "retrieval/query_cache.h"
-#include "retrieval/three_level.h"
-#include "retrieval/traversal.h"
 #include "snapshot/snapshot_reader.h"
 #include "snapshot/snapshot_writer.h"
 
@@ -30,24 +25,13 @@ struct VideoDatabaseOptions {
   /// Build and use the third (video-category) level for Step-2 pruning.
   bool enable_category_level = false;
   CategoryLevelOptions categories;
-  /// Entries in the query-result LRU cache (same semantics as the
-  /// RetrievalEngine cache: keyed by pattern signature + model version,
+  /// Entries in the query-result LRU cache of the database's
+  /// RetrievalEngine (keyed by pattern signature + model version,
   /// single-flight, degraded results never cached). 0 disables caching.
-  size_t query_cache_entries = 64;
+  size_t query_cache_entries = RetrievalEngine::kDefaultQueryCacheEntries;
   /// Bounds concurrent Retrieve/Query calls; saturated databases shed
   /// load with kResourceExhausted. Default: admission control off.
   AdmissionOptions admission;
-};
-
-/// Per-query serving controls layered over the database-wide
-/// TraversalOptions: an absolute wall-clock deadline (anytime degradation,
-/// not an error), an external cancellation token (e.g. a server's
-/// shutdown token) and an optional trace sink. Fields left at their
-/// defaults inherit whatever VideoDatabaseOptions::traversal carries.
-struct QueryControls {
-  std::chrono::steady_clock::time_point deadline = kNoDeadline;
-  const CancellationToken* cancellation = nullptr;
-  QueryTrace* trace = nullptr;
 };
 
 /// The multimedia database management system view of this library
@@ -55,7 +39,10 @@ struct QueryControls {
 /// HMMM, the feedback trainer and (optionally) the category level, with
 /// query / feedback / persistence entry points. This is the recommended
 /// API for applications; the lower-level pieces remain available for
-/// research use.
+/// research use. Every query is answered by the database's
+/// RetrievalEngine, which also owns the model, the result cache, the
+/// admission gate, the state lock and the metrics registry; the database
+/// adds the catalog, the trainer, persistence and the category level.
 class VideoDatabase {
  public:
   /// Builds a database over an ingested catalog (takes ownership).
@@ -115,42 +102,40 @@ class VideoDatabase {
   StatusOr<std::string> PublishSnapshot(const std::string& dir,
                                         uint64_t generation) const;
 
-  // Defined in video_database.cc where Admission is complete.
-  VideoDatabase(VideoDatabase&&) noexcept;
-  VideoDatabase& operator=(VideoDatabase&&) noexcept;
-  ~VideoDatabase();
-
   // -- Queries -----------------------------------------------------------
   //
   // All query entry points are safe to call concurrently with each other
-  // and with the feedback/replace entry points: queries hold a shared
-  // lock over the catalog/model/category state, mutators an exclusive
-  // one. Results are served from the LRU cache when an identical pattern
-  // was answered under the current model version (hits replay the
-  // recorded RetrievalStats); concurrent identical misses are coalesced
-  // (single-flight). May fail with kResourceExhausted when admission
-  // control is configured and the database is saturated.
+  // and with the feedback/replace entry points: queries hold the
+  // engine's state lock shared, mutators exclusively. The temporal
+  // pattern entry points are RetrievalEngine::Query/Retrieve (cache,
+  // single-flight, admission, degradation and tracing are described
+  // there).
 
   /// Compiles and answers a textual temporal pattern query.
   StatusOr<std::vector<RetrievedPattern>> Query(
-      const std::string& text, RetrievalStats* stats = nullptr) const;
+      const std::string& text, RetrievalStats* stats = nullptr) const {
+    return engine_.Query(text, stats);
+  }
 
   /// Same, with per-query deadline/cancellation/trace controls.
   StatusOr<std::vector<RetrievedPattern>> Query(
       const std::string& text, const QueryControls& controls,
-      RetrievalStats* stats = nullptr) const;
+      RetrievalStats* stats = nullptr) const {
+    return engine_.Query(text, controls, stats);
+  }
 
   /// Answers a translated pattern.
   StatusOr<std::vector<RetrievedPattern>> Retrieve(
-      const TemporalPattern& pattern, RetrievalStats* stats = nullptr) const;
+      const TemporalPattern& pattern, RetrievalStats* stats = nullptr) const {
+    return engine_.Retrieve(pattern, stats);
+  }
 
-  /// Same, with per-query deadline/cancellation/trace controls. A fired
-  /// deadline or cancellation degrades (anytime prefix ranking,
-  /// stats->degraded = true) rather than failing; degraded results are
-  /// never cached.
+  /// Same, with per-query deadline/cancellation/trace controls.
   StatusOr<std::vector<RetrievedPattern>> Retrieve(
       const TemporalPattern& pattern, const QueryControls& controls,
-      RetrievalStats* stats = nullptr) const;
+      RetrievalStats* stats = nullptr) const {
+    return engine_.Retrieve(pattern, controls, stats);
+  }
 
   /// Query by example: ranks shots against a raw feature vector.
   StatusOr<std::vector<QbeResult>> QueryByExample(
@@ -187,42 +172,37 @@ class VideoDatabase {
   HealthSnapshot Health() const;
 
   const VideoCatalog& catalog() const { return *catalog_; }
-  const HierarchicalModel& model() const { return *model_; }
+  const HierarchicalModel& model() const { return engine_.model(); }
   /// Present only when options.enable_category_level was set.
-  const CategoryLevel* categories() const {
-    return categories_.has_value() ? &*categories_ : nullptr;
+  const CategoryLevel* categories() const { return categories_.get(); }
+
+  /// The engine-owned metrics registry: query counters and latency
+  /// histogram, the event index build counter, feedback-training metrics,
+  /// snapshot-open metrics of a snapshot-opened database, and the
+  /// model/admission gauges. Stable for the database's lifetime (also
+  /// across moves).
+  MetricsRegistry& metrics_registry() const {
+    return engine_.metrics_registry();
   }
 
-  /// The database-owned metrics registry: query counters and latency
-  /// histogram, feedback-training metrics, snapshot-open metrics of a
-  /// snapshot-opened database, and the model-version gauge.
-  /// Stable for the database's lifetime (also across moves).
-  MetricsRegistry& metrics_registry() const { return *metrics_; }
-
   /// One-stop JSON snapshot of every registered metric, refreshing the
-  /// model gauge first. The shape matches
+  /// resource gauges first. The shape matches
   /// MetricsRegistry::RenderJson().
-  std::string DumpMetrics() const;
+  std::string DumpMetrics() const { return engine_.DumpMetricsJson(); }
   /// The same dump in Prometheus text exposition format.
-  std::string DumpMetricsPrometheus() const;
+  std::string DumpMetricsPrometheus() const {
+    return engine_.DumpMetricsPrometheus();
+  }
 
-  /// Drops every cached query result. Called internally whenever the
-  /// model is replaced wholesale (ReplaceCatalog) or retrained (Train,
-  /// threshold-triggered training inside MarkPositive): a rebuilt model's
-  /// version counter restarts at zero, so the cache's version guard alone
-  /// cannot tell a fresh model from the one the entries were computed
-  /// under.
-  void ClearQueryCache();
+  /// Drops every cached query result. Training (Train, threshold-
+  /// triggered training inside MarkPositive) calls it so the occupancy
+  /// gauge drops at once, and ReplaceCatalog drops the cache along with
+  /// the model.
+  void ClearQueryCache() { engine_.ClearQueryCache(); }
 
   /// Hit/miss/occupancy counters of the query-result cache; all-zero
   /// capacity when caching is disabled.
-  QueryCacheStats cache_stats() const;
-
-  /// Replaces the admission policy. Takes effect for subsequent
-  /// Retrieve/Query calls; already-parked waiters re-evaluate against
-  /// the new bounds.
-  void set_admission_options(const AdmissionOptions& options);
-  AdmissionOptions admission_options() const;
+  QueryCacheStats cache_stats() const { return engine_.cache_stats(); }
 
   /// Re-clusters the category level (e.g. after heavy retraining).
   Status RebuildCategories();
@@ -237,50 +217,33 @@ class VideoDatabase {
   /// `metrics` = null starts an empty registry.
   VideoDatabase(VideoCatalog catalog, HierarchicalModel model,
                 VideoDatabaseOptions options,
-                std::unique_ptr<MetricsRegistry> metrics = nullptr);
+                std::unique_ptr<MetricsRegistry> metrics);
 
-  /// Copies the model version into a registry gauge.
-  /// Caller holds state_mutex_ (shared suffices).
-  void RefreshResourceGauges() const;
+  /// The one path every factory ends in: checks that `model` and
+  /// `catalog` agree, wraps them, adopts a snapshot's frozen event index
+  /// and keeps its mapping alive (when `snapshot` is set), and builds the
+  /// category level when enabled.
+  static StatusOr<VideoDatabase> Assemble(
+      VideoCatalog catalog, HierarchicalModel model,
+      VideoDatabaseOptions options,
+      std::unique_ptr<SnapshotReader> snapshot = nullptr,
+      std::unique_ptr<MetricsRegistry> metrics = nullptr);
 
-  /// RebuildCategories body; caller holds state_mutex_ exclusively.
+  /// RebuildCategories body; caller holds the engine's state lock
+  /// exclusively.
   Status RebuildCategoriesLocked();
-
-  /// Blocks (bounded) for an admission slot per admission_options().
-  /// Every OK must be paired with ReleaseSlot().
-  Status AcquireSlot() const;
-  void ReleaseSlot() const;
 
   VideoDatabaseOptions options_;
   std::unique_ptr<VideoCatalog> catalog_;
-  std::unique_ptr<HierarchicalModel> model_;
-  std::unique_ptr<MetricsRegistry> metrics_;
-  std::unique_ptr<FeedbackTrainer> trainer_;
-  std::optional<CategoryLevel> categories_;
-  /// Readers-writer lock over catalog_/model_/categories_/trainer_:
-  /// queries share, mutators (MarkPositive/Train/ReplaceCatalog) are
-  /// exclusive. unique_ptr keeps the database movable.
-  std::unique_ptr<std::shared_mutex> state_mutex_;
-  std::unique_ptr<QueryCache> cache_;  // null when caching is disabled
   /// For a snapshot-opened database: the mapping every borrowed matrix
-  /// points into. Declared above the prebuilt index so the index (which
-  /// borrows the frozen sims) is destroyed first.
+  /// points into. Declared above the engine so the model and the frozen
+  /// event index (which borrow it) are destroyed first.
   std::unique_ptr<SnapshotReader> snapshot_keepalive_;
-  /// The adopted frozen event index. Used by Retrieve only while
-  /// FreshFor(model) holds — the first training round invalidates it and
-  /// traversals fall back to their own per-model index build.
-  std::unique_ptr<EventBitmapIndex> prebuilt_index_;
-  /// Admission mutex + cv + in-flight counters behind a pointer, same
-  /// movability trick as state_mutex_.
-  struct Admission;
-  std::unique_ptr<Admission> admission_;
-  // Hot-path handles into metrics_ (stable: the registry never relocates
-  // entries).
-  Counter* queries_total_ = nullptr;
-  Counter* query_errors_total_ = nullptr;
-  Counter* queries_degraded_total_ = nullptr;
-  Counter* admission_rejected_total_ = nullptr;
-  Histogram* query_latency_ms_ = nullptr;
+  /// Behind a pointer so the engine's borrowed pointer survives a move.
+  std::unique_ptr<CategoryLevel> categories_;
+  /// Owns the model; borrows catalog_ and categories_.
+  RetrievalEngine engine_;
+  std::unique_ptr<FeedbackTrainer> trainer_;
 };
 
 }  // namespace hmmm

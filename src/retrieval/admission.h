@@ -5,8 +5,9 @@
 
 namespace hmmm {
 
-/// Admission control for a serving facade's Retrieve/Query entry points
-/// (RetrievalEngine, VideoDatabase): bounds the number of in-flight
+/// Admission control for RetrievalEngine's Retrieve/Query entry points
+/// (a VideoDatabase configures its engine's through
+/// VideoDatabaseOptions::admission): bounds the number of in-flight
 /// retrievals so an overloaded instance sheds load with a fast
 /// kResourceExhausted instead of queueing unboundedly and missing every
 /// deadline.

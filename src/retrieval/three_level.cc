@@ -5,16 +5,15 @@
 namespace hmmm {
 
 ThreeLevelTraversal::ThreeLevelTraversal(const HierarchicalModel& model,
-                                         const VideoCatalog& catalog,
                                          const CategoryLevel& categories,
-                                         TraversalOptions options,
-                                         const EventBitmapIndex* index)
+                                         const EventBitmapIndex& index,
+                                         TraversalOptions options)
     : model_(model),
       categories_(categories),
       trace_(options.trace),
       deadline_(options.deadline),
       cancellation_(options.cancellation),
-      traversal_(model, catalog, options, index) {}
+      traversal_(model, index, options) {}
 
 std::vector<VideoId> ThreeLevelTraversal::PrunedVideoOrder(
     const TemporalPattern& pattern) const {

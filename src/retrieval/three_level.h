@@ -20,14 +20,13 @@ namespace hmmm {
 /// the category layer only decides WHICH videos are walked, never how.
 class ThreeLevelTraversal {
  public:
-  /// All references must outlive the traversal. `index` (optional) is
-  /// forwarded to the underlying 2-level traversal as the shared
-  /// model-tier EventBitmapIndex (self-built when omitted).
+  /// All references must outlive the traversal, and `index` must be
+  /// fresh for `model`; it is the model-tier EventBitmapIndex the
+  /// underlying 2-level traversal runs on (see HmmmTraversal).
   ThreeLevelTraversal(const HierarchicalModel& model,
-                      const VideoCatalog& catalog,
                       const CategoryLevel& categories,
-                      TraversalOptions options = {},
-                      const EventBitmapIndex* index = nullptr);
+                      const EventBitmapIndex& index,
+                      TraversalOptions options = {});
 
   /// Runs the pruned retrieval; results sorted by descending SS.
   StatusOr<std::vector<RetrievedPattern>> Retrieve(

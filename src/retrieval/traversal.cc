@@ -1,7 +1,6 @@
 #include "retrieval/traversal.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -45,27 +44,12 @@ constexpr size_t kOrderPollInterval = 32;
 }  // namespace
 
 HmmmTraversal::HmmmTraversal(const HierarchicalModel& model,
-                             const VideoCatalog& catalog,
-                             TraversalOptions options,
-                             const EventBitmapIndex* index)
-    : model_(model),
-      catalog_(catalog),
-      options_(std::move(options)),
-      external_index_(index) {
+                             const EventBitmapIndex& index,
+                             TraversalOptions options)
+    : model_(model), index_(index), options_(std::move(options)) {
   HMMM_CHECK(options_.beam_width >= 1);
   HMMM_CHECK(options_.max_results >= 1);
-  if (external_index_ != nullptr) {
-    HMMM_CHECK(external_index_->FreshFor(model_));
-  }
-}
-
-const EventBitmapIndex& HmmmTraversal::CurrentIndex() const {
-  if (external_index_ != nullptr) return *external_index_;
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (owned_index_ == nullptr || !owned_index_->FreshFor(model_)) {
-    owned_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
-  }
-  return *owned_index_;
+  HMMM_CHECK(index_.FreshFor(model_));
 }
 
 bool HmmmTraversal::Cancellable() const {
@@ -117,7 +101,7 @@ std::vector<VideoId> HmmmTraversal::VideoOrder(
   // Step 2: matrix B2 containment of an anticipated first-step event,
   // answered by the model-tier bitsets.
   const DenseBitset step_videos =
-      CurrentIndex().VideosContainingStep(pattern.steps.front());
+      index_.VideosContainingStep(pattern.steps.front());
   step_videos.ForEachSetBit(
       [&](size_t v) { containing.push_back(static_cast<VideoId>(v)); });
   // Deadline/cancellation poll for the ordering pass. The chaining below
@@ -727,7 +711,7 @@ StatusOr<std::vector<RetrievedPattern>> HmmmTraversal::RetrieveWithVideoOrder(
   std::optional<QueryPlan> plan;
   {
     ScopedSpan plan_span(options_.trace, "query_plan_build");
-    plan.emplace(model_, CurrentIndex(), pattern, options_.scorer);
+    plan.emplace(model_, index_, pattern, options_.scorer);
   }
   WalkScratch scratch;
   CandidateHeap top(top_k);

@@ -2,8 +2,6 @@
 #define HMMM_RETRIEVAL_TRAVERSAL_H_
 
 #include <chrono>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -102,13 +100,13 @@ struct TraversalOptions {
 /// (sim_evaluations, sim_memo_hits) shrink. See DESIGN.md §5.1.
 class HmmmTraversal {
  public:
-  /// Model and catalog must outlive the traversal. When `index` is given
-  /// it must be fresh for `model` and outlive the traversal (the engine
-  /// shares one per model version); otherwise the traversal builds its
-  /// own.
-  HmmmTraversal(const HierarchicalModel& model, const VideoCatalog& catalog,
-                TraversalOptions options = {},
-                const EventBitmapIndex* index = nullptr);
+  /// Model and index must outlive the traversal, and the index must be
+  /// fresh for the model (EventBitmapIndex::FreshFor). A caller that
+  /// mutates the model builds a new index before the next traversal;
+  /// RetrievalEngine keeps one fresh index per model version and shares
+  /// it across every query.
+  HmmmTraversal(const HierarchicalModel& model, const EventBitmapIndex& index,
+                TraversalOptions options = {});
 
   /// Runs the retrieval; results are sorted by descending SS. With a
   /// deadline/cancellation armed in the options, a fired retrieval still
@@ -132,11 +130,8 @@ class HmmmTraversal {
   /// deterministic) when either fires.
   std::vector<VideoId> VideoOrder(const TemporalPattern& pattern) const;
 
-  /// The model-tier index this traversal runs on. A self-built index is
-  /// (re)built lazily whenever the model's version counter has moved, so
-  /// mutating the model through a learner between queries stays valid; an
-  /// externally supplied index is trusted (the engine rebuilds it).
-  const EventBitmapIndex& event_index() const { return CurrentIndex(); }
+  /// The model-tier index this traversal runs on.
+  const EventBitmapIndex& event_index() const { return index_; }
 
  private:
   /// How one video's lattice walk ended.
@@ -290,16 +285,9 @@ class HmmmTraversal {
   /// passed.
   bool Expired() const;
 
-  /// Self-built index, rebuilt under the lock when stale; unused when an
-  /// external index was supplied.
-  const EventBitmapIndex& CurrentIndex() const;
-
   const HierarchicalModel& model_;
-  const VideoCatalog& catalog_;
+  const EventBitmapIndex& index_;
   TraversalOptions options_;
-  mutable std::mutex index_mutex_;
-  mutable std::unique_ptr<EventBitmapIndex> owned_index_;
-  const EventBitmapIndex* external_index_ = nullptr;
 };
 
 }  // namespace hmmm

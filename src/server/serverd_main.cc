@@ -183,6 +183,10 @@ hmmm::StatusOr<hmmm::VideoDatabase> OpenDatabase(const ServerdFlags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // First, so a stop signal during a long start-up (a synthetic archive
+  // build, a snapshot open) still drains instead of killing the process.
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
   ServerdFlags flags;
   if (!ParseFlags(argc, argv, &flags)) {
     PrintUsage(argv[0]);
@@ -219,8 +223,6 @@ int main(int argc, char** argv) {
   std::printf("LISTENING port=%u\n", server.port());
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
   while (g_stop_requested == 0 && server.running()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }

@@ -17,11 +17,13 @@ class BaselinesTest : public ::testing::Test {
     auto model = ModelBuilder(catalog_).Build();
     ASSERT_TRUE(model.ok());
     model_ = std::move(model).value();
+    event_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
     index_ = EventIndex(catalog_);
   }
 
   VideoCatalog catalog_;
   HierarchicalModel model_;
+  std::unique_ptr<EventBitmapIndex> event_index_;
   EventIndex index_;
 };
 
@@ -53,7 +55,7 @@ TEST_F(BaselinesTest, ExhaustiveTopScoreDominatesTraversal) {
   for (int beam : {1, 2, 8}) {
     TraversalOptions options;
     options.beam_width = beam;
-    HmmmTraversal traversal(model_, catalog_, options);
+    HmmmTraversal traversal(model_, *event_index_, options);
     auto results = traversal.Retrieve(pattern);
     ASSERT_TRUE(results.ok());
     ASSERT_FALSE(results->empty());
@@ -67,7 +69,7 @@ TEST_F(BaselinesTest, ExhaustiveScoresMatchTraversalOnSamePath) {
   // be identical (same Eqs. 12-15 arithmetic).
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   ExhaustiveMatcher exhaustive(model_, catalog_);
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   auto gold = exhaustive.Retrieve(pattern);
   auto fast = traversal.Retrieve(pattern);
   ASSERT_TRUE(gold.ok());

@@ -80,6 +80,7 @@ class CancellationRetrievalTest : public ::testing::Test {
     auto model = ModelBuilder(catalog_).Build();
     ASSERT_TRUE(model.ok());
     model_ = std::move(model).value();
+    event_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
   }
 
   /// No-deadline retrieval restricted to `order` — the reference
@@ -87,7 +88,7 @@ class CancellationRetrievalTest : public ::testing::Test {
   std::vector<RetrievedPattern> PrefixReference(
       const TemporalPattern& pattern, const std::vector<VideoId>& order,
       RetrievalStats* stats) const {
-    HmmmTraversal serial(model_, catalog_, TraversalOptions{});
+    HmmmTraversal serial(model_, *event_index_, TraversalOptions{});
     auto reference = serial.RetrieveWithVideoOrder(pattern, order, stats);
     EXPECT_TRUE(reference.ok());
     return reference.ok() ? *reference : std::vector<RetrievedPattern>{};
@@ -95,6 +96,7 @@ class CancellationRetrievalTest : public ::testing::Test {
 
   VideoCatalog catalog_;
   HierarchicalModel model_;
+  std::unique_ptr<EventBitmapIndex> event_index_;
 };
 
 TEST_F(CancellationRetrievalTest, PreCancelledTokenDegradesToEmpty) {
@@ -103,7 +105,7 @@ TEST_F(CancellationRetrievalTest, PreCancelledTokenDegradesToEmpty) {
   token.Cancel();
   TraversalOptions options;
   options.cancellation = &token;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   RetrievalStats stats;
   auto results = traversal.Retrieve(pattern, &stats);
   ASSERT_TRUE(results.ok());
@@ -117,7 +119,7 @@ TEST_F(CancellationRetrievalTest, ExpiredDeadlineDegradesLikeCancellation) {
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   TraversalOptions options;
   options.deadline = std::chrono::steady_clock::now() - milliseconds(1);
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   RetrievalStats stats;
   auto results = traversal.Retrieve(pattern, &stats);
   ASSERT_TRUE(results.ok());
@@ -130,7 +132,7 @@ TEST_F(CancellationRetrievalTest, FarDeadlineMatchesNoDeadlineByteForByte) {
   // A deadline that never fires still turns on every Step-7 poll; the
   // ranking and every cost counter must not notice.
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
-  HmmmTraversal plain(model_, catalog_, TraversalOptions{});
+  HmmmTraversal plain(model_, *event_index_, TraversalOptions{});
   RetrievalStats plain_stats;
   auto reference = plain.Retrieve(pattern, &plain_stats);
   ASSERT_TRUE(reference.ok());
@@ -140,7 +142,7 @@ TEST_F(CancellationRetrievalTest, FarDeadlineMatchesNoDeadlineByteForByte) {
   TraversalOptions options;
   options.deadline = DeadlineAfter(std::chrono::hours(1));
   options.cancellation = &unfired;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   RetrievalStats stats;
   auto results = traversal.Retrieve(pattern, &stats);
   ASSERT_TRUE(results.ok());
@@ -157,7 +159,7 @@ TEST_F(CancellationRetrievalTest,
   // to an undisturbed retrieval over exactly that prefix. The cutoff
   // itself is timing-dependent; the equality is not.
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
-  HmmmTraversal plain(model_, catalog_, TraversalOptions{});
+  HmmmTraversal plain(model_, *event_index_, TraversalOptions{});
   const std::vector<VideoId> order = plain.VideoOrder(pattern);
   ASSERT_EQ(order.size(), catalog_.num_videos());
 
@@ -165,7 +167,7 @@ TEST_F(CancellationRetrievalTest,
        {microseconds(0), microseconds(200), microseconds(1000)}) {
     TraversalOptions options;
     options.deadline = DeadlineAfter(budget);
-    HmmmTraversal traversal(model_, catalog_, options);
+    HmmmTraversal traversal(model_, *event_index_, options);
     RetrievalStats stats;
     auto results = traversal.RetrieveWithVideoOrder(pattern, order, &stats);
     ASSERT_TRUE(results.ok());
@@ -183,13 +185,13 @@ TEST_F(CancellationRetrievalTest,
 
 TEST_F(CancellationRetrievalTest, MidFlightCancelStillYieldsConsistentPrefix) {
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
-  HmmmTraversal plain(model_, catalog_, TraversalOptions{});
+  HmmmTraversal plain(model_, *event_index_, TraversalOptions{});
   const std::vector<VideoId> order = plain.VideoOrder(pattern);
 
   CancellationToken token;
   TraversalOptions options;
   options.cancellation = &token;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
 
   std::thread canceller([&token] {
     std::this_thread::sleep_for(microseconds(300));
@@ -216,7 +218,7 @@ TEST_F(CancellationRetrievalTest, ThreeLevelHonorsCancellation) {
 
   // Undisturbed three-level retrieval as the reference.
   TraversalOptions plain_options;
-  ThreeLevelTraversal plain(model_, catalog_, *categories, plain_options);
+  ThreeLevelTraversal plain(model_, *categories, *event_index_, plain_options);
   RetrievalStats plain_stats;
   auto reference = plain.Retrieve(pattern, &plain_stats);
   ASSERT_TRUE(reference.ok());
@@ -229,7 +231,7 @@ TEST_F(CancellationRetrievalTest, ThreeLevelHonorsCancellation) {
   token.Cancel();
   TraversalOptions options;
   options.cancellation = &token;
-  ThreeLevelTraversal pruned(model_, catalog_, *categories, options);
+  ThreeLevelTraversal pruned(model_, *categories, *event_index_, options);
   RetrievalStats stats;
   auto results = pruned.Retrieve(pattern, &stats);
   ASSERT_TRUE(results.ok());
@@ -240,7 +242,7 @@ TEST_F(CancellationRetrievalTest, ThreeLevelHonorsCancellation) {
   // A deadline that cannot fire changes nothing.
   TraversalOptions far;
   far.deadline = DeadlineAfter(std::chrono::hours(1));
-  ThreeLevelTraversal relaxed(model_, catalog_, *categories, far);
+  ThreeLevelTraversal relaxed(model_, *categories, *event_index_, far);
   RetrievalStats far_stats;
   auto same = relaxed.Retrieve(pattern, &far_stats);
   ASSERT_TRUE(same.ok());

@@ -70,11 +70,13 @@ class ChaosTest : public ::testing::Test {
     auto model = ModelBuilder(catalog_).Build();
     ASSERT_TRUE(model.ok());
     model_ = std::move(model).value();
+    event_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
   }
   void TearDown() override { FaultInjector::Instance().Reset(); }
 
   VideoCatalog catalog_;
   HierarchicalModel model_;
+  std::unique_ptr<EventBitmapIndex> event_index_;
 };
 
 TEST_F(ChaosTest, ForcedDeadlineCutoffIsByteIdenticalToThePrefix) {
@@ -82,7 +84,7 @@ TEST_F(ChaosTest, ForcedDeadlineCutoffIsByteIdenticalToThePrefix) {
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
   // Fix the visiting order while nothing is armed, so every run below
   // shares it.
-  HmmmTraversal plain(model_, catalog_, TraversalOptions{});
+  HmmmTraversal plain(model_, *event_index_, TraversalOptions{});
   const std::vector<VideoId> order = plain.VideoOrder(pattern);
   ASSERT_GT(order.size(), 8u);
 
@@ -94,7 +96,7 @@ TEST_F(ChaosTest, ForcedDeadlineCutoffIsByteIdenticalToThePrefix) {
   config.arg_threshold = kCutoff;
   FaultInjector::Instance().Arm("traversal.deadline_at_video", config);
 
-  HmmmTraversal traversal(model_, catalog_, TraversalOptions{});
+  HmmmTraversal traversal(model_, *event_index_, TraversalOptions{});
   RetrievalStats stats;
   auto results = traversal.RetrieveWithVideoOrder(pattern, order, &stats);
   ASSERT_TRUE(results.ok());
@@ -120,14 +122,14 @@ TEST_F(ChaosTest, MidWalkFaultAbortsTheWalkAndPinsTheCutoff) {
   // Multi-step pattern: the walk_fault probe is polled between pattern
   // steps, so walks at order index >= 3 abort mid-lattice.
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
-  HmmmTraversal plain(model_, catalog_, TraversalOptions{});
+  HmmmTraversal plain(model_, *event_index_, TraversalOptions{});
   const std::vector<VideoId> order = plain.VideoOrder(pattern);
 
   FaultPointConfig config;
   config.arg_threshold = 3;
   FaultInjector::Instance().Arm("traversal.walk_fault", config);
 
-  HmmmTraversal traversal(model_, catalog_, TraversalOptions{});
+  HmmmTraversal traversal(model_, *event_index_, TraversalOptions{});
   RetrievalStats stats;
   auto results = traversal.RetrieveWithVideoOrder(pattern, order, &stats);
   ASSERT_TRUE(results.ok());
@@ -149,7 +151,7 @@ TEST_F(ChaosTest, MidWalkFaultAbortsTheWalkAndPinsTheCutoff) {
 TEST_F(ChaosTest, WalkAbortedAfterPayingRollsBackItsCounters) {
   SKIP_WITHOUT_FAULT_INJECTION();
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
-  HmmmTraversal plain(model_, catalog_, TraversalOptions{});
+  HmmmTraversal plain(model_, *event_index_, TraversalOptions{});
   const std::vector<VideoId> order = plain.VideoOrder(pattern);
 
   // An armed point that never fires still makes every walk poll it once
@@ -208,7 +210,7 @@ TEST_F(ChaosTest, OrderingFaultDegradesToEmptyOrder) {
   config.after_hits = 0;
   FaultInjector::Instance().Arm("traversal.order_pick", config);
 
-  HmmmTraversal traversal(model_, catalog_, TraversalOptions{});
+  HmmmTraversal traversal(model_, *event_index_, TraversalOptions{});
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   RetrievalStats stats;
   auto results = traversal.Retrieve(pattern, &stats);

@@ -142,7 +142,8 @@ TEST_F(FeedbackTest, RelearnFeatureWeightsOption) {
 
   FeedbackTrainer trainer(catalog, options);
   // Mark some annotated pattern positive.
-  HmmmTraversal traversal(*model, catalog);
+  const EventBitmapIndex index(*model, catalog);
+  HmmmTraversal traversal(*model, index);
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({0}));
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());

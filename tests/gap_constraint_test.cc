@@ -22,11 +22,13 @@ class GapConstraintTest : public ::testing::Test {
     auto model = ModelBuilder(catalog_).Build();
     ASSERT_TRUE(model.ok());
     model_ = std::move(model).value();
+    event_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
     vocab_ = catalog_.vocabulary();
   }
 
   VideoCatalog catalog_;
   HierarchicalModel model_;
+  std::unique_ptr<EventBitmapIndex> event_index_;
   EventVocabulary vocab_;
 };
 
@@ -85,7 +87,7 @@ TEST_F(GapConstraintTest, EnumerationHonorsGap) {
 }
 
 TEST_F(GapConstraintTest, TraversalHonorsGap) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   const auto tight = *CompileQuery("free_kick ;<1 corner_kick", vocab_);
   auto results = traversal.Retrieve(tight);
   ASSERT_TRUE(results.ok());
@@ -110,7 +112,7 @@ TEST_F(GapConstraintTest, TraversalHonorsGap) {
   TraversalOptions wide;
   wide.beam_width = 4;
   auto beam_results =
-      HmmmTraversal(model_, catalog_, wide).Retrieve(tight);
+      HmmmTraversal(model_, *event_index_, wide).Retrieve(tight);
   ASSERT_TRUE(beam_results.ok());
   bool found_pair = false;
   for (const auto& r : *beam_results) {
@@ -155,7 +157,7 @@ TEST_F(GapConstraintTest, IndexJoinHonorsGap) {
 TEST_F(GapConstraintTest, GapDisablesCrossVideoHops) {
   TraversalOptions options;
   options.cross_video = true;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   // Three goals within gap 1 cannot span videos.
   TemporalPattern pattern = TemporalPattern::FromEvents({0, 0, 0});
   pattern.steps[1].max_gap = 1;

@@ -17,14 +17,16 @@ TEST(IntegrationScenariosTest, TrainedPi2ReordersVideoScan) {
   ASSERT_TRUE(model.ok());
 
   // Both videos contain "goal"; with uniform Pi2 video 0 is seeded first.
-  HmmmTraversal traversal(*model, catalog);
+  const EventBitmapIndex index(*model, catalog);
+  HmmmTraversal traversal(*model, index);
   const auto pattern = TemporalPattern::FromEvents({0});
   EXPECT_EQ(traversal.VideoOrder(pattern).front(), 0);
 
   // Teach the model that video 1 is the preferred entry point.
   OfflineLearner learner;
   ASSERT_TRUE(learner.ApplyVideoPatterns(*model, {{{1}, 5.0}}).ok());
-  HmmmTraversal retrained(*model, catalog);
+  const EventBitmapIndex retrained_index(*model, catalog);
+  HmmmTraversal retrained(*model, retrained_index);
   EXPECT_EQ(retrained.VideoOrder(pattern).front(), 1);
 }
 
@@ -152,7 +154,8 @@ TEST(IntegrationScenariosTest, ExhaustiveAndTraversalAgreeUnderGaps) {
 
   TraversalOptions options;
   options.beam_width = 8;
-  HmmmTraversal traversal(*model, catalog, options);
+  const EventBitmapIndex index(*model, catalog);
+  HmmmTraversal traversal(*model, index, options);
   auto fast = traversal.Retrieve(*pattern);
   ASSERT_TRUE(fast.ok());
   // Shared tuples score identically, and the gold top dominates.

@@ -42,10 +42,12 @@ class ModelInvariantsTest : public ::testing::TestWithParam<CorpusParams> {
     auto model = ModelBuilder(catalog_).Build();
     ASSERT_TRUE(model.ok());
     model_ = std::move(model).value();
+    event_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
   }
 
   VideoCatalog catalog_;
   HierarchicalModel model_;
+  std::unique_ptr<EventBitmapIndex> event_index_;
 };
 
 TEST_P(ModelInvariantsTest, FullModelValidates) {
@@ -111,7 +113,7 @@ TEST_P(ModelInvariantsTest, SerializationIsLossless) {
 }
 
 TEST_P(ModelInvariantsTest, RetrievalIsDeterministic) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   auto a = traversal.Retrieve(pattern);
   auto b = traversal.Retrieve(pattern);
@@ -127,7 +129,7 @@ TEST_P(ModelInvariantsTest, RetrievalIsDeterministic) {
 TEST_P(ModelInvariantsTest, EdgeWeightsAreEquation13Products) {
   TraversalOptions options;
   options.beam_width = 2;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({2, 0}));
   ASSERT_TRUE(results.ok());
   SimilarityScorer scorer(model_);
@@ -159,7 +161,7 @@ TEST_P(ModelInvariantsTest, EdgeWeightsAreEquation13Products) {
 TEST_P(ModelInvariantsTest, ExhaustiveDominatesGreedyEverywhere) {
   const auto pattern = TemporalPattern::FromEvents({3, 2});  // foul -> fk
   ExhaustiveMatcher exhaustive(model_, catalog_);
-  HmmmTraversal greedy(model_, catalog_);
+  HmmmTraversal greedy(model_, *event_index_);
   auto gold = exhaustive.Retrieve(pattern);
   auto fast = greedy.Retrieve(pattern);
   ASSERT_TRUE(gold.ok());

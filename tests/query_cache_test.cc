@@ -395,7 +395,8 @@ TEST(EngineCacheTest, FeedbackTrainingInvalidatesCachedResults) {
 
   // The recomputed ranking matches a from-scratch traversal of the
   // trained model.
-  HmmmTraversal traversal(engine->model(), catalog);
+  const EventBitmapIndex index(engine->model(), catalog);
+  HmmmTraversal traversal(engine->model(), index);
   const auto pattern =
       *CompileQuery("free_kick ; goal", catalog.vocabulary());
   auto fresh = traversal.Retrieve(pattern);

@@ -176,17 +176,19 @@ class TracedRetrievalTest : public ::testing::Test {
     auto model = ModelBuilder(catalog_).Build();
     ASSERT_TRUE(model.ok());
     model_ = std::move(model).value();
+    event_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
   }
 
   VideoCatalog catalog_;
   HierarchicalModel model_;
+  std::unique_ptr<EventBitmapIndex> event_index_;
 };
 
 TEST_F(TracedRetrievalTest, SerialWalkProducesThePaperPhaseStructure) {
   QueryTrace trace;
   TraversalOptions options;
   options.trace = &trace;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({2, 0}));
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
@@ -220,7 +222,7 @@ TEST_F(TracedRetrievalTest, SpanSkeletonIsIdenticalAcrossRuns) {
   QueryTrace first_trace;
   TraversalOptions options;
   options.trace = &first_trace;
-  HmmmTraversal first(model_, catalog_, options);
+  HmmmTraversal first(model_, *event_index_, options);
   ASSERT_TRUE(first.Retrieve(pattern).ok());
   const std::vector<SpanSkeleton> reference = Skeleton(first_trace);
   ASSERT_FALSE(reference.empty());
@@ -228,7 +230,7 @@ TEST_F(TracedRetrievalTest, SpanSkeletonIsIdenticalAcrossRuns) {
   for (int run = 0; run < 3; ++run) {
     QueryTrace trace;
     options.trace = &trace;
-    HmmmTraversal again(model_, catalog_, options);
+    HmmmTraversal again(model_, *event_index_, options);
     ASSERT_TRUE(again.Retrieve(pattern).ok());
     EXPECT_EQ(Skeleton(trace), reference) << "run " << run;
   }
@@ -239,7 +241,7 @@ TEST_F(TracedRetrievalTest, TracingOnAndOffRankIdentically) {
   // cost counter must not notice an attached trace.
   for (const auto& pattern : {TemporalPattern::FromEvents({2, 0}),
                               TemporalPattern::FromEvents({2, 0, 1})}) {
-    HmmmTraversal plain(model_, catalog_);
+    HmmmTraversal plain(model_, *event_index_);
     RetrievalStats plain_stats;
     auto reference = plain.Retrieve(pattern, &plain_stats);
     ASSERT_TRUE(reference.ok());
@@ -248,7 +250,7 @@ TEST_F(TracedRetrievalTest, TracingOnAndOffRankIdentically) {
     QueryTrace trace;
     TraversalOptions traced_options;
     traced_options.trace = &trace;
-    HmmmTraversal traced(model_, catalog_, traced_options);
+    HmmmTraversal traced(model_, *event_index_, traced_options);
     RetrievalStats stats;
     auto results = traced.Retrieve(pattern, &stats);
     ASSERT_TRUE(results.ok());
@@ -273,7 +275,7 @@ TEST_F(TracedRetrievalTest, TraceAccumulatesUntilCleared) {
   QueryTrace trace;
   TraversalOptions options;
   options.trace = &trace;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   const auto pattern = TemporalPattern::FromEvents({0});
   ASSERT_TRUE(traversal.Retrieve(pattern).ok());
   const size_t first = trace.Spans().size();

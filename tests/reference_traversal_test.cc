@@ -434,6 +434,7 @@ TEST_P(ReferenceEquivalenceTest, PlanLayerIsByteIdenticalToTheNaiveWalk) {
   auto built = ModelBuilder(catalog).Build();
   ASSERT_TRUE(built.ok());
   const HierarchicalModel model = std::move(built).value();
+  const EventBitmapIndex index(model, catalog);
 
   for (const Workload& workload : Workloads()) {
     const ReferenceTraversal reference(model, catalog, workload.options);
@@ -446,7 +447,7 @@ TEST_P(ReferenceEquivalenceTest, PlanLayerIsByteIdenticalToTheNaiveWalk) {
       QueryTrace trace;
       TraversalOptions options = workload.options;
       options.trace = traced ? &trace : nullptr;
-      HmmmTraversal traversal(model, catalog, options);
+      HmmmTraversal traversal(model, index, options);
       RetrievalStats stats;
       auto results = traversal.Retrieve(workload.pattern, &stats);
       ASSERT_TRUE(results.ok()) << label;
@@ -495,6 +496,7 @@ TEST_P(ReferenceEquivalenceTest, CubePrunedSweepIsByteIdenticalEverywhere) {
   auto built = ModelBuilder(catalog).Build();
   ASSERT_TRUE(built.ok());
   const HierarchicalModel model = std::move(built).value();
+  const EventBitmapIndex index(model, catalog);
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
 
   for (int beam : {1, 2, 8, 16}) {
@@ -516,7 +518,7 @@ TEST_P(ReferenceEquivalenceTest, CubePrunedSweepIsByteIdenticalEverywhere) {
       TraversalOptions options;
       options.beam_width = beam;
       options.scorer.force_scalar_kernel = force_scalar;
-      HmmmTraversal traversal(model, catalog, options);
+      HmmmTraversal traversal(model, index, options);
       RetrievalStats stats;
       auto results = traversal.Retrieve(pattern, &stats);
       ASSERT_TRUE(results.ok()) << label;
@@ -554,7 +556,8 @@ TEST(ReferenceEquivalenceTest, VideoOrderMatchesTheNaiveScan) {
   ASSERT_TRUE(built.ok());
   const HierarchicalModel model = std::move(built).value();
   const ReferenceTraversal reference(model, catalog, TraversalOptions{});
-  HmmmTraversal traversal(model, catalog);
+  const EventBitmapIndex index(model, catalog);
+  HmmmTraversal traversal(model, index);
   for (EventId e : {0, 1, 2, 3}) {
     const auto pattern = TemporalPattern::FromEvents({e, 0});
     EXPECT_EQ(traversal.VideoOrder(pattern), reference.VideoOrder(pattern))

@@ -269,6 +269,32 @@ TEST_F(SnapshotTest, TrainingCopiesOnWriteAndLeavesTheFileUntouched) {
   EXPECT_TRUE(retrained_results.ok()) << retrained_results.status();
 }
 
+TEST_F(SnapshotTest, AdoptedFrozenIndexServesUntilTheFirstTrain) {
+  auto heap = VideoDatabase::Create(VideoCatalog(catalog_));
+  ASSERT_TRUE(heap.ok()) << heap.status();
+  ASSERT_TRUE(heap->WriteSnapshot(path_).ok());
+  auto db = VideoDatabase::OpenSnapshot(path_);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const Counter* builds =
+      db->metrics_registry().GetCounter("hmmm_event_index_builds_total");
+
+  std::vector<RetrievedPattern> marked;
+  for (const char* query : {"free_kick ; goal", "goal", "corner_kick ; goal"}) {
+    auto results = db->Query(query);
+    ASSERT_TRUE(results.ok()) << results.status();
+    if (marked.empty()) marked = *results;
+  }
+  EXPECT_EQ(builds->value(), 0u);
+
+  ASSERT_FALSE(marked.empty());
+  ASSERT_TRUE(db->MarkPositive(marked.front()).ok());
+  ASSERT_TRUE(db->Train().ok());
+  EXPECT_EQ(builds->value(), 0u);
+  ASSERT_TRUE(db->Query("free_kick ; goal").ok());
+  ASSERT_TRUE(db->Query("goal").ok());
+  EXPECT_EQ(builds->value(), 1u);
+}
+
 TEST_F(SnapshotTest, PublishRepointsCurrentAtomically) {
   const std::string dir = testing::TempPath("snapshot_pub_dir");
   std::filesystem::remove_all(dir);

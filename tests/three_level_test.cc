@@ -56,6 +56,7 @@ class ThreeLevelTest : public ::testing::Test {
     auto model = ModelBuilder(catalog_).Build();
     ASSERT_TRUE(model.ok());
     model_ = std::move(model).value();
+    event_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
     CategoryLevelOptions options;
     options.num_clusters = 2;
     auto level = BuildCategoryLevel(model_, options);
@@ -66,11 +67,12 @@ class ThreeLevelTest : public ::testing::Test {
   std::vector<EventId> news_ids_;
   VideoCatalog catalog_;
   HierarchicalModel model_;
+  std::unique_ptr<EventBitmapIndex> event_index_;
   CategoryLevel categories_;
 };
 
 TEST_F(ThreeLevelTest, PrunesToContainingCluster) {
-  ThreeLevelTraversal traversal(model_, catalog_, categories_);
+  ThreeLevelTraversal traversal(model_, categories_, *event_index_);
   // goal (id 0) exists only in soccer videos (ids 0..4).
   const auto order =
       traversal.PrunedVideoOrder(TemporalPattern::FromEvents({0}));
@@ -81,8 +83,8 @@ TEST_F(ThreeLevelTest, PrunesToContainingCluster) {
 }
 
 TEST_F(ThreeLevelTest, VisitsFewerVideosThanTwoLevel) {
-  ThreeLevelTraversal pruned(model_, catalog_, categories_);
-  HmmmTraversal full(model_, catalog_);
+  ThreeLevelTraversal pruned(model_, categories_, *event_index_);
+  HmmmTraversal full(model_, *event_index_);
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   RetrievalStats pruned_stats, full_stats;
   auto pruned_results = pruned.Retrieve(pattern, &pruned_stats);
@@ -96,8 +98,8 @@ TEST_F(ThreeLevelTest, VisitsFewerVideosThanTwoLevel) {
 TEST_F(ThreeLevelTest, SameResultsAsTwoLevelOnContainingVideos) {
   // The pruned traversal must return the same candidates the 2-level
   // engine finds within the surviving cluster.
-  ThreeLevelTraversal pruned(model_, catalog_, categories_);
-  HmmmTraversal full(model_, catalog_);
+  ThreeLevelTraversal pruned(model_, categories_, *event_index_);
+  HmmmTraversal full(model_, *event_index_);
   const auto pattern = TemporalPattern::FromEvents({2, 0});  // soccer only
   auto pruned_results = pruned.Retrieve(pattern);
   auto full_results = full.Retrieve(pattern);
@@ -119,7 +121,7 @@ TEST_F(ThreeLevelTest, SameResultsAsTwoLevelOnContainingVideos) {
 }
 
 TEST_F(ThreeLevelTest, NewsQueriesRouteToNewsCluster) {
-  ThreeLevelTraversal traversal(model_, catalog_, categories_);
+  ThreeLevelTraversal traversal(model_, categories_, *event_index_);
   const EventId anchor = news_ids_[0];
   const auto order =
       traversal.PrunedVideoOrder(TemporalPattern::FromEvents({anchor}));
@@ -133,7 +135,7 @@ TEST_F(ThreeLevelTest, NewsQueriesRouteToNewsCluster) {
 }
 
 TEST_F(ThreeLevelTest, UnknownEventFallsBackToAllVideos) {
-  ThreeLevelTraversal traversal(model_, catalog_, categories_);
+  ThreeLevelTraversal traversal(model_, categories_, *event_index_);
   // red_card (id 6) may exist in no cluster; order must not be empty.
   TemporalPattern pattern = TemporalPattern::FromEvents({6});
   const auto order = traversal.PrunedVideoOrder(pattern);
@@ -147,12 +149,12 @@ TEST_F(ThreeLevelTest, UnknownEventFallsBackToAllVideos) {
 }
 
 TEST_F(ThreeLevelTest, EmptyPatternRejected) {
-  ThreeLevelTraversal traversal(model_, catalog_, categories_);
+  ThreeLevelTraversal traversal(model_, categories_, *event_index_);
   EXPECT_FALSE(traversal.Retrieve(TemporalPattern{}).ok());
 }
 
 TEST_F(ThreeLevelTest, RetrieveWithVideoOrderValidatesIds) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   const auto pattern = TemporalPattern::FromEvents({0});
   EXPECT_FALSE(traversal.RetrieveWithVideoOrder(pattern, {999}).ok());
   EXPECT_FALSE(traversal.RetrieveWithVideoOrder(pattern, {-1}).ok());

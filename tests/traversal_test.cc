@@ -17,14 +17,16 @@ class TraversalTest : public ::testing::Test {
     auto model = ModelBuilder(catalog_).Build();
     ASSERT_TRUE(model.ok());
     model_ = std::move(model).value();
+    event_index_ = std::make_unique<EventBitmapIndex>(model_, catalog_);
   }
 
   VideoCatalog catalog_;
   HierarchicalModel model_;
+  std::unique_ptr<EventBitmapIndex> event_index_;
 };
 
 TEST_F(TraversalTest, RejectsEmptyAndMalformedPatterns) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   EXPECT_FALSE(traversal.Retrieve(TemporalPattern{}).ok());
   TemporalPattern bad;
   bad.steps.emplace_back();  // step without alternatives
@@ -34,7 +36,7 @@ TEST_F(TraversalTest, RejectsEmptyAndMalformedPatterns) {
 }
 
 TEST_F(TraversalTest, SingleEventQueryFindsAnnotatedShot) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   const auto pattern = TemporalPattern::FromEvents({1});  // corner_kick
   auto results = traversal.Retrieve(pattern);
   ASSERT_TRUE(results.ok());
@@ -44,7 +46,7 @@ TEST_F(TraversalTest, SingleEventQueryFindsAnnotatedShot) {
 }
 
 TEST_F(TraversalTest, TwoStepPatternRespectsTemporalOrder) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   // free_kick (2) then goal (0).
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   auto results = traversal.Retrieve(pattern);
@@ -63,7 +65,7 @@ TEST_F(TraversalTest, TwoStepPatternRespectsTemporalOrder) {
 }
 
 TEST_F(TraversalTest, OneCandidatePerVideo) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   const auto pattern = TemporalPattern::FromEvents({0});  // goal, both videos
   auto results = traversal.Retrieve(pattern);
   ASSERT_TRUE(results.ok());
@@ -72,7 +74,7 @@ TEST_F(TraversalTest, OneCandidatePerVideo) {
 }
 
 TEST_F(TraversalTest, ScoreIsSumOfEdgeWeights) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   auto results = traversal.Retrieve(pattern);
   ASSERT_TRUE(results.ok());
@@ -85,7 +87,7 @@ TEST_F(TraversalTest, ScoreIsSumOfEdgeWeights) {
 }
 
 TEST_F(TraversalTest, ResultsSortedByScore) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({0}));
   ASSERT_TRUE(results.ok());
   for (size_t i = 1; i < results->size(); ++i) {
@@ -96,7 +98,7 @@ TEST_F(TraversalTest, ResultsSortedByScore) {
 TEST_F(TraversalTest, MaxResultsTruncates) {
   TraversalOptions options;
   options.max_results = 1;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({0}));
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 1u);
@@ -105,7 +107,7 @@ TEST_F(TraversalTest, MaxResultsTruncates) {
 TEST_F(TraversalTest, MaxVideosLimitsSearch) {
   TraversalOptions options;
   options.max_videos = 1;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   RetrievalStats stats;
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({0}), &stats);
   ASSERT_TRUE(results.ok());
@@ -114,7 +116,7 @@ TEST_F(TraversalTest, MaxVideosLimitsSearch) {
 }
 
 TEST_F(TraversalTest, Statspopulated) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   RetrievalStats stats;
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({2, 0}), &stats);
   ASSERT_TRUE(results.ok());
@@ -125,7 +127,7 @@ TEST_F(TraversalTest, Statspopulated) {
 }
 
 TEST_F(TraversalTest, VideoOrderPrefersContainingVideos) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   // corner_kick only exists in video 0.
   const auto order = traversal.VideoOrder(TemporalPattern::FromEvents({1}));
   ASSERT_EQ(order.size(), 2u);
@@ -139,7 +141,7 @@ TEST_F(TraversalTest, BeamWidthOneIsGreedy) {
   // greedy path from shot 0 goes to shot 2 (the free_kick+goal shot).
   TraversalOptions options;
   options.beam_width = 1;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({2, 0}));
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
@@ -160,8 +162,8 @@ TEST_F(TraversalTest, WiderBeamNeverWorseTopScore) {
   TraversalOptions wide;
   wide.beam_width = 8;
   auto narrow_results =
-      HmmmTraversal(model_, catalog_, narrow).Retrieve(pattern);
-  auto wide_results = HmmmTraversal(model_, catalog_, wide).Retrieve(pattern);
+      HmmmTraversal(model_, *event_index_, narrow).Retrieve(pattern);
+  auto wide_results = HmmmTraversal(model_, *event_index_, wide).Retrieve(pattern);
   ASSERT_TRUE(narrow_results.ok());
   ASSERT_TRUE(wide_results.ok());
   ASSERT_FALSE(narrow_results->empty());
@@ -172,7 +174,7 @@ TEST_F(TraversalTest, WiderBeamNeverWorseTopScore) {
 
 TEST_F(TraversalTest, PatternLongerThanVideoFails) {
   // 5 steps but each video has at most 3 annotated shots.
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   auto results =
       traversal.Retrieve(TemporalPattern::FromEvents({0, 0, 0, 0, 0}));
   ASSERT_TRUE(results.ok());
@@ -182,7 +184,7 @@ TEST_F(TraversalTest, PatternLongerThanVideoFails) {
 TEST_F(TraversalTest, CrossVideoExtendsWhenEnabled) {
   TraversalOptions options;
   options.cross_video = true;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   // 4 goals in a row exist nowhere within one video; cross-video can
   // stitch goal shots across videos... with only 3 goals total it still
   // fails, but a goal;goal;goal pattern can span video_b(2 goals) + a
@@ -197,7 +199,7 @@ TEST_F(TraversalTest, CrossVideoExtendsWhenEnabled) {
 }
 
 TEST_F(TraversalTest, WithoutCrossVideoNoSpanningPatterns) {
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({0, 0, 0}));
   ASSERT_TRUE(results.ok());
   for (const auto& r : *results) {
@@ -208,7 +210,7 @@ TEST_F(TraversalTest, WithoutCrossVideoNoSpanningPatterns) {
 TEST_F(TraversalTest, AllowSameShotServesConsecutiveSteps) {
   TraversalOptions options;
   options.allow_same_shot = true;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   // free_kick then goal can be served by the single free_kick+goal shot
   // (state self-transition A1(1,1) = 0.5 in video 0).
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({2, 0}));
@@ -225,7 +227,7 @@ TEST_F(TraversalTest, AnnotatedFirstRestrictsToAnnotatedShots) {
   // With the Step-3 rule on (default), a query for corner_kick only
   // considers the one corner-annotated shot even though other shots are
   // "similar".
-  HmmmTraversal traversal(model_, catalog_);
+  HmmmTraversal traversal(model_, *event_index_);
   RetrievalStats stats;
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({1}), &stats);
   ASSERT_TRUE(results.ok());
@@ -237,7 +239,7 @@ TEST_F(TraversalTest, AnnotatedFirstRestrictsToAnnotatedShots) {
 TEST_F(TraversalTest, SimilarityOnlyModeConsidersAllStates) {
   TraversalOptions options;
   options.annotated_first = false;
-  HmmmTraversal traversal(model_, catalog_, options);
+  HmmmTraversal traversal(model_, *event_index_, options);
   RetrievalStats stats;
   auto results = traversal.Retrieve(TemporalPattern::FromEvents({1}), &stats);
   ASSERT_TRUE(results.ok());
@@ -250,9 +252,9 @@ TEST_F(TraversalTest, AnnotatedFirstImprovesTopRelevance) {
   annotated.annotated_first = true;
   TraversalOptions similarity;
   similarity.annotated_first = false;
-  auto with = HmmmTraversal(model_, catalog_, annotated).Retrieve(pattern);
+  auto with = HmmmTraversal(model_, *event_index_, annotated).Retrieve(pattern);
   auto without =
-      HmmmTraversal(model_, catalog_, similarity).Retrieve(pattern);
+      HmmmTraversal(model_, *event_index_, similarity).Retrieve(pattern);
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   const auto m_with = EvaluateRanking(catalog_, pattern, *with, 5);
@@ -281,7 +283,8 @@ TEST_F(TraversalTest, GeneratedCorpusFindsRelevantResults) {
   TraversalOptions options;
   options.beam_width = 4;
   options.max_results = 10;
-  HmmmTraversal traversal(*model, *catalog, options);
+  const EventBitmapIndex index(*model, *catalog);
+  HmmmTraversal traversal(*model, index, options);
   const auto pattern = TemporalPattern::FromEvents({2, 0});  // fk -> goal
   auto results = traversal.Retrieve(pattern);
   ASSERT_TRUE(results.ok());

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "media/news_generator.h"
 #include "retrieval/metrics.h"
+#include "retrieval/three_level.h"
 #include "storage/model_io.h"
 #include "test_util.h"
 
@@ -130,6 +134,23 @@ TEST(VideoDatabaseTest, CategoryLevelOptional) {
   auto results = layered->Query("goal");
   ASSERT_TRUE(results.ok());
   EXPECT_FALSE(results->empty());
+
+  // The database answers through the category level's pruned scan. One
+  // cluster of this archive lacks corner_kick, so the pruned ranking is
+  // not the 2-level one.
+  auto pruned_results = layered->Query("corner_kick");
+  ASSERT_TRUE(pruned_results.ok());
+  const EventBitmapIndex index(layered->model(), layered->catalog());
+  const ThreeLevelTraversal pruned(layered->model(), *layered->categories(),
+                                   index);
+  auto expected = pruned.Retrieve(
+      *CompileQuery("corner_kick", layered->catalog().vocabulary()));
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(pruned_results->size(), expected->size());
+  for (size_t i = 0; i < expected->size(); ++i) {
+    EXPECT_EQ((*pruned_results)[i].shots, (*expected)[i].shots);
+    EXPECT_EQ((*pruned_results)[i].score, (*expected)[i].score);
+  }
 }
 
 TEST(VideoDatabaseTest, RebuildCategories) {
@@ -217,6 +238,107 @@ TEST(VideoDatabaseTest, TrainingClearsCachedRankings) {
   EXPECT_EQ(db->cache_stats().entries, 1u);
   db->ClearQueryCache();
   EXPECT_EQ(db->cache_stats().entries, 0u);
+}
+
+uint64_t EventIndexBuilds(const VideoDatabase& db) {
+  return db.metrics_registry()
+      .GetCounter("hmmm_event_index_builds_total")
+      ->value();
+}
+
+/// `count` distinct two-step queries over the catalog's vocabulary.
+std::vector<std::string> DistinctQueries(const VideoCatalog& catalog,
+                                         size_t count) {
+  const EventVocabulary& vocabulary = catalog.vocabulary();
+  std::vector<std::string> queries;
+  for (size_t a = 0; a < vocabulary.size(); ++a) {
+    for (size_t b = 0; b < vocabulary.size(); ++b) {
+      if (queries.size() == count) return queries;
+      queries.push_back(vocabulary.Name(static_cast<EventId>(a)) + " ; " +
+                        vocabulary.Name(static_cast<EventId>(b)));
+    }
+  }
+  return queries;
+}
+
+TEST(VideoDatabaseTest, CacheMissesShareOneEventIndexBuild) {
+  auto db = VideoDatabase::Create(testing::GeneratedSoccerCatalog(5, 6));
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ(EventIndexBuilds(*db), 0u);
+  const std::vector<std::string> queries = DistinctQueries(db->catalog(), 20);
+  ASSERT_EQ(queries.size(), 20u);
+  for (const std::string& query : queries) {
+    ASSERT_TRUE(db->Query(query).ok()) << query;
+  }
+  EXPECT_EQ(db->cache_stats().misses, 20u);
+  EXPECT_EQ(EventIndexBuilds(*db), 1u);
+
+  // Training bumps the model version: the next miss builds once more,
+  // and the misses after it share that build.
+  auto results = db->Query(queries.front());
+  ASSERT_TRUE(results.ok());
+  ASSERT_FALSE(results->empty());
+  ASSERT_TRUE(db->MarkPositive(results->front()).ok());
+  auto trained = db->Train();
+  ASSERT_TRUE(trained.ok());
+  ASSERT_TRUE(*trained);
+  EXPECT_EQ(EventIndexBuilds(*db), 1u);
+  for (const std::string& query : queries) {
+    ASSERT_TRUE(db->Query(query).ok()) << query;
+  }
+  EXPECT_EQ(EventIndexBuilds(*db), 2u);
+}
+
+TEST(VideoDatabaseConcurrencyTest, QueriesRaceTrain) {
+  auto db = VideoDatabase::Create(testing::GeneratedSoccerCatalog(5, 6));
+  ASSERT_TRUE(db.ok());
+  const std::vector<std::string> queries = DistinctQueries(db->catalog(), 8);
+  auto marked = db->Query("free_kick ; goal");
+  ASSERT_TRUE(marked.ok());
+  ASSERT_FALSE(marked->empty());
+
+  // Readers hit the cache, miss it, and rebuild the shared index while
+  // the writer retrains the model under them.
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t i = static_cast<size_t>(r); !stop.load(); ++i) {
+        if (!db->Query(queries[i % queries.size()]).ok()) ++failures;
+      }
+    });
+  }
+  constexpr int kRounds = 5;
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(db->MarkPositive(marked->front()).ok());
+    auto trained = db->Train();
+    ASSERT_TRUE(trained.ok());
+    EXPECT_TRUE(*trained);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(db->training_rounds(), static_cast<size_t>(kRounds));
+  // At most one build per model version.
+  EXPECT_LE(EventIndexBuilds(*db), static_cast<uint64_t>(kRounds + 1));
+
+  // After the race, every answer is the trained model's own ranking.
+  const EventBitmapIndex index(db->model(), db->catalog());
+  const HmmmTraversal traversal(db->model(), index);
+  for (const std::string& query : queries) {
+    auto served = db->Query(query);
+    ASSERT_TRUE(served.ok());
+    auto fresh = traversal.Retrieve(
+        *CompileQuery(query, db->catalog().vocabulary()));
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_EQ(served->size(), fresh->size()) << query;
+    for (size_t i = 0; i < served->size(); ++i) {
+      EXPECT_EQ((*served)[i].shots, (*fresh)[i].shots) << query;
+      EXPECT_EQ((*served)[i].score, (*fresh)[i].score) << query;
+    }
+  }
 }
 
 TEST(VideoDatabaseTest, MoveSemantics) {
