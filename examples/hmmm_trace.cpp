@@ -86,16 +86,6 @@ int RunQuery(hmmm::QueryClient& client, const TraceFlags& flags) {
   std::printf("# results=%zu degraded=%d videos_skipped=%llu\n",
               response->results.size(), response->degraded ? 1 : 0,
               static_cast<unsigned long long>(response->videos_skipped));
-  if (response->trace_blob.empty()) {
-    // A v1 peer serves the query but cannot return the span blob.
-    if (!response->trace_jsonl.empty() && flags.jsonl) {
-      std::fputs(response->trace_jsonl.c_str(), stdout);
-      return 0;
-    }
-    std::fprintf(stderr,
-                 "peer returned no trace blob (protocol v1 peer?)\n");
-    return 1;
-  }
   hmmm::StatusOr<std::vector<hmmm::TraceSpan>> spans =
       hmmm::DeserializeSpans(response->trace_blob);
   if (!spans.ok()) {

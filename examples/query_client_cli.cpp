@@ -122,7 +122,16 @@ int Run(int argc, char** argv) {
                   static_cast<unsigned long long>(
                       response->stats.candidates_scored));
     }
-    if (request.want_trace) std::printf("%s", response->trace_jsonl.c_str());
+    if (request.want_trace) {
+      StatusOr<std::vector<TraceSpan>> spans =
+          DeserializeSpans(response->trace_blob);
+      if (!spans.ok()) {
+        std::fprintf(stderr, "trace blob undecodable: %s\n",
+                     spans.status().ToString().c_str());
+        return 1;
+      }
+      std::printf("%s", RenderSpansJsonl(*spans).c_str());
+    }
     return 0;
   }
   return Usage(argv[0]);

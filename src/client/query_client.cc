@@ -72,8 +72,7 @@ Status QueryClient::Connect() {
 
 StatusOr<std::string> QueryClient::Attempt(const std::string& frame,
                                            MessageType expected_response,
-                                           bool idempotent, bool* retriable,
-                                           uint16_t* response_version) {
+                                           bool idempotent, bool* retriable) {
   *retriable = false;
   if (!socket_.valid()) {
     const Status connected = Connect();
@@ -128,17 +127,9 @@ StatusOr<std::string> QueryClient::Attempt(const std::string& frame,
       Disconnect();
       return error.status();
     }
-    if (error->code == WireError::kUnsupportedVersion &&
-        peer_version_ > kWireMinProtocolVersion) {
-      // The peer speaks an older protocol. Downgrade to the floor
-      // version and retry: the request was refused before executing, so
-      // even non-idempotent requests may go again. The server closes
-      // the connection after this answer, so reconnect too.
-      peer_version_ = kWireMinProtocolVersion;
-      Disconnect();
-      *retriable = true;
-      return StatusFromWireError(error->code, error->message);
-    }
+    // A peer of another wire version closes the connection after its
+    // kUnsupportedVersion answer; reconnect lazily next call.
+    if (error->code == WireError::kUnsupportedVersion) Disconnect();
     // The server declares retriability: a retriable typed error means
     // the request was refused before executing, so even non-idempotent
     // requests may go again.
@@ -152,29 +143,19 @@ StatusOr<std::string> QueryClient::Attempt(const std::string& frame,
                   static_cast<unsigned>(header.type),
                   static_cast<unsigned>(expected_response)));
   }
-  if (response_version != nullptr) *response_version = header.version;
   return payload;
 }
 
 StatusOr<std::string> QueryClient::RoundTrip(MessageType request_type,
-                                             const void* request,
-                                             PayloadEncoder encode,
+                                             std::string_view payload,
                                              MessageType expected_response,
-                                             bool idempotent,
-                                             uint16_t* response_version) {
+                                             bool idempotent) {
+  const std::string frame = EncodeFrame(request_type, payload);
   std::chrono::milliseconds backoff = options_.retry_backoff;
   for (int attempt = 0;; ++attempt) {
-    // Re-encoded per attempt: a kUnsupportedVersion answer downgrades
-    // peer_version_, and the retry must carry the older payload schema
-    // under the older frame stamp.
-    const uint16_t version = peer_version_;
-    const std::string payload =
-        encode != nullptr ? encode(request, version) : std::string();
-    const std::string frame = EncodeFrame(request_type, payload, version);
     bool retriable = false;
-    StatusOr<std::string> result = Attempt(frame, expected_response,
-                                           idempotent, &retriable,
-                                           response_version);
+    StatusOr<std::string> result =
+        Attempt(frame, expected_response, idempotent, &retriable);
     if (result.ok() || !retriable || attempt >= options_.max_retries) {
       return result;
     }
@@ -188,82 +169,60 @@ StatusOr<std::string> QueryClient::RoundTrip(MessageType request_type,
 
 StatusOr<TemporalQueryResponse> QueryClient::TemporalQuery(
     const TemporalQueryRequest& request) {
-  uint16_t response_version = kWireMinProtocolVersion;
   HMMM_ASSIGN_OR_RETURN(
       const std::string payload,
-      RoundTrip(
-          MessageType::kTemporalQueryRequest, &request,
-          +[](const void* req, uint16_t version) {
-            return EncodeTemporalQueryRequest(
-                *static_cast<const TemporalQueryRequest*>(req), version);
-          },
-          MessageType::kTemporalQueryResponse, /*idempotent=*/true,
-          &response_version));
-  return DecodeTemporalQueryResponse(payload, response_version);
+      RoundTrip(MessageType::kTemporalQueryRequest,
+                EncodeTemporalQueryRequest(request),
+                MessageType::kTemporalQueryResponse, /*idempotent=*/true));
+  return DecodeTemporalQueryResponse(payload);
 }
 
 StatusOr<QbeResponse> QueryClient::QueryByExample(const QbeRequest& request) {
-  uint16_t response_version = kWireMinProtocolVersion;
   HMMM_ASSIGN_OR_RETURN(
       const std::string payload,
-      RoundTrip(
-          MessageType::kQbeRequest, &request,
-          +[](const void* req, uint16_t version) {
-            return EncodeQbeRequest(*static_cast<const QbeRequest*>(req),
-                                    version);
-          },
-          MessageType::kQbeResponse, /*idempotent=*/true, &response_version));
-  return DecodeQbeResponse(payload, response_version);
+      RoundTrip(MessageType::kQbeRequest, EncodeQbeRequest(request),
+                MessageType::kQbeResponse, /*idempotent=*/true));
+  return DecodeQbeResponse(payload);
 }
 
 StatusOr<MarkPositiveResponse> QueryClient::MarkPositive(
     const MarkPositiveRequest& request) {
   HMMM_ASSIGN_OR_RETURN(
       const std::string payload,
-      RoundTrip(
-          MessageType::kMarkPositiveRequest, &request,
-          +[](const void* req, uint16_t) {
-            return EncodeMarkPositiveRequest(
-                *static_cast<const MarkPositiveRequest*>(req));
-          },
-          MessageType::kMarkPositiveResponse, /*idempotent=*/false));
+      RoundTrip(MessageType::kMarkPositiveRequest,
+                EncodeMarkPositiveRequest(request),
+                MessageType::kMarkPositiveResponse, /*idempotent=*/false));
   return DecodeMarkPositiveResponse(payload);
 }
 
 StatusOr<TrainResponse> QueryClient::Train() {
-  uint16_t response_version = kWireMinProtocolVersion;
   HMMM_ASSIGN_OR_RETURN(
       const std::string payload,
-      RoundTrip(MessageType::kTrainRequest, nullptr, nullptr,
-                MessageType::kTrainResponse, /*idempotent=*/false,
-                &response_version));
-  return DecodeTrainResponse(payload, response_version);
+      RoundTrip(MessageType::kTrainRequest, "", MessageType::kTrainResponse,
+                /*idempotent=*/false));
+  return DecodeTrainResponse(payload);
 }
 
 StatusOr<MetricsResponse> QueryClient::Metrics() {
-  uint16_t response_version = kWireMinProtocolVersion;
   HMMM_ASSIGN_OR_RETURN(
       const std::string payload,
-      RoundTrip(MessageType::kMetricsRequest, nullptr, nullptr,
-                MessageType::kMetricsResponse, /*idempotent=*/true,
-                &response_version));
-  return DecodeMetricsResponse(payload, response_version);
+      RoundTrip(MessageType::kMetricsRequest, "",
+                MessageType::kMetricsResponse, /*idempotent=*/true));
+  return DecodeMetricsResponse(payload);
 }
 
 StatusOr<HealthResponse> QueryClient::Health() {
-  uint16_t response_version = kWireMinProtocolVersion;
   HMMM_ASSIGN_OR_RETURN(
       const std::string payload,
-      RoundTrip(MessageType::kHealthRequest, nullptr, nullptr,
-                MessageType::kHealthResponse, /*idempotent=*/true,
-                &response_version));
+      RoundTrip(MessageType::kHealthRequest, "",
+                MessageType::kHealthResponse, /*idempotent=*/true));
   return DecodeHealthResponse(payload);
 }
 
 StatusOr<DumpSlowQueriesResponse> QueryClient::DumpSlowQueries() {
   HMMM_ASSIGN_OR_RETURN(
       const std::string payload,
-      RoundTrip(MessageType::kDumpSlowQueriesRequest, nullptr, nullptr,
+      RoundTrip(MessageType::kDumpSlowQueriesRequest, "",
                 MessageType::kDumpSlowQueriesResponse, /*idempotent=*/true));
   return DecodeDumpSlowQueriesResponse(payload);
 }
@@ -272,13 +231,9 @@ StatusOr<ReloadShardMapResponse> QueryClient::ReloadShardMap(
     const ReloadShardMapRequest& request) {
   HMMM_ASSIGN_OR_RETURN(
       const std::string payload,
-      RoundTrip(
-          MessageType::kReloadShardMapRequest, &request,
-          +[](const void* req, uint16_t) {
-            return EncodeReloadShardMapRequest(
-                *static_cast<const ReloadShardMapRequest*>(req));
-          },
-          MessageType::kReloadShardMapResponse, /*idempotent=*/false));
+      RoundTrip(MessageType::kReloadShardMapRequest,
+                EncodeReloadShardMapRequest(request),
+                MessageType::kReloadShardMapResponse, /*idempotent=*/false));
   return DecodeReloadShardMapResponse(payload);
 }
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,11 +41,6 @@ struct QueryClientOptions {
   uint64_t retry_jitter_seed = 0;
   /// Responses announcing a larger payload are rejected as corrupt.
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Highest wire protocol version to speak. The client starts at this
-  /// version; a server answering kUnsupportedVersion makes it downgrade
-  /// to the floor version and retry (see peer_version()). Setting 1
-  /// emulates an old client against a new server.
-  uint16_t protocol_version = kWireProtocolVersion;
 };
 
 /// One decorrelated-jitter backoff step: uniform in [base, 3 * prev],
@@ -73,13 +69,14 @@ uint64_t DeriveRetryJitterSeed(uint64_t configured);
 ///    and Health are idempotent; MarkPositive and Train are not — a
 ///    transport failure after the request was sent leaves the server's
 ///    execution state unknown, so those surface the error instead.
-/// Non-retriable typed errors surface as the mirrored Status immediately.
+/// Non-retriable typed errors surface as the mirrored Status immediately;
+/// a peer of another wire version answers kUnsupportedVersion, which
+/// surfaces as kUnimplemented without a retry.
 class QueryClient {
  public:
   explicit QueryClient(QueryClientOptions options)
       : options_(options),
-        rng_(DeriveRetryJitterSeed(options.retry_jitter_seed)),
-        peer_version_(options.protocol_version) {}
+        rng_(DeriveRetryJitterSeed(options.retry_jitter_seed)) {}
   ~QueryClient() = default;
 
   QueryClient(const QueryClient&) = delete;
@@ -101,11 +98,9 @@ class QueryClient {
   StatusOr<TrainResponse> Train();
   StatusOr<MetricsResponse> Metrics();
   StatusOr<HealthResponse> Health();
-  /// v2+: fetches the server's slow-query log (JSONL, oldest first). A
-  /// v1 peer answers kUnsupportedVersion for the unknown request tag,
-  /// surfaced as a Status.
+  /// Fetches the server's slow-query log (JSONL, oldest first).
   StatusOr<DumpSlowQueriesResponse> DumpSlowQueries();
-  /// v3+: pushes a serialized shard map to a coordinator for a hot swap.
+  /// Pushes a serialized shard map to a coordinator for a hot swap.
   /// Non-idempotent under the epoch fence: a retry of an applied reload
   /// is answered kFailedPrecondition ("epoch not newer"), so transport
   /// failures surface instead of being retried blindly.
@@ -136,42 +131,24 @@ class QueryClient {
   /// client is trivially healthy (it connects lazily).
   bool IdleConnectionHealthy() const;
 
-  /// The protocol version currently spoken to the peer. Starts at
-  /// options.protocol_version and drops to the floor version after a
-  /// kUnsupportedVersion answer (sticky for the client's lifetime — the
-  /// peer will not learn v2 mid-conversation).
-  uint16_t peer_version() const { return peer_version_; }
-
  private:
-  /// Encodes a request payload at a given protocol version. Re-invoked
-  /// per attempt so a mid-call version downgrade re-encodes the request
-  /// in the older schema.
-  using PayloadEncoder = std::string (*)(const void* request,
-                                         uint16_t version);
-
-  /// Sends one request and returns the payload of the expected response,
-  /// applying the retry policy above. `request` is passed through to
-  /// `encode` untouched (null for empty-payload requests). On success
-  /// *response_version (if non-null) holds the response frame's version,
-  /// for version-aware payload decoding.
+  /// Frames `payload` once, sends it and returns the payload of the
+  /// expected response, applying the retry policy above.
   StatusOr<std::string> RoundTrip(MessageType request_type,
-                                  const void* request, PayloadEncoder encode,
+                                  std::string_view payload,
                                   MessageType expected_response,
-                                  bool idempotent,
-                                  uint16_t* response_version = nullptr);
+                                  bool idempotent);
   /// One attempt. Sets *retriable when the failure is safe to retry
   /// under the policy (given `idempotent`).
   StatusOr<std::string> Attempt(const std::string& frame,
                                 MessageType expected_response,
-                                bool idempotent, bool* retriable,
-                                uint16_t* response_version);
+                                bool idempotent, bool* retriable);
 
   QueryClientOptions options_;
   Socket socket_;
   Rng rng_;
   uint64_t generation_ = 0;
   uint64_t retries_performed_ = 0;
-  uint16_t peer_version_ = kWireProtocolVersion;
 };
 
 /// A thread-safe pool of QueryClients to one endpoint, so concurrent

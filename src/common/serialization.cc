@@ -62,7 +62,9 @@ void BinaryWriter::WriteMatrix(const Matrix& m) {
 }
 
 Status BinaryReader::Need(size_t n) const {
-  if (pos_ + n > data_.size()) {
+  // Compared against the bytes left, so a hostile length near 2^64
+  // cannot wrap the sum and pass.
+  if (n > data_.size() - pos_) {
     return Status::DataLoss(
         StrFormat("truncated input: need %zu bytes at offset %zu of %zu", n,
                   pos_, data_.size()));

@@ -731,8 +731,7 @@ StatusOr<TemporalQueryResponse> CoordinatorService::TemporalQuery(
     // Cross-process assembly: each live shard's sub-trace blob is
     // grafted under its fan-out span, with the remote offsets shifted by
     // the fan-out span's own start offset — monotonic clocks only, no
-    // clock sync. Shards that answered v1 (no blob) simply contribute no
-    // sub-tree. Grafting in shard order keeps the remapped ids
+    // clock sync. Grafting in shard order keeps the remapped ids
     // deterministic for a fixed shard map.
     std::vector<TraceSpan> assembled = trace.Spans();
     for (int s = 0; s < num_shards; ++s) {
@@ -759,7 +758,6 @@ StatusOr<TemporalQueryResponse> CoordinatorService::TemporalQuery(
       GraftSpans(&assembled, fanout_id, std::move(sub).value(),
                  base_offset_ms);
     }
-    merged.trace_jsonl = RenderSpansJsonl(assembled);
     merged.trace_blob = SerializeSpans(assembled);
   }
 
@@ -976,9 +974,8 @@ StatusOr<MetricsResponse> CoordinatorService::Metrics() {
   }
   // Fleet aggregation: scrape every replica endpoint's machine-readable
   // snapshot and merge into one throwaway registry, labelling each
-  // series with its shard range and replica index. Dead endpoints (and
-  // v1 servers, whose responses carry no snapshot) just contribute
-  // nothing — a scrape never fails.
+  // series with its shard range and replica index. Dead endpoints just
+  // contribute nothing — a scrape never fails.
   using EndpointMetrics = std::vector<std::pair<int, MetricsResponse>>;
   auto per_shard = FanOut<EndpointMetrics>(
       table, [&](int s) -> StatusOr<EndpointMetrics> {
@@ -1001,10 +998,9 @@ StatusOr<MetricsResponse> CoordinatorService::Metrics() {
         per_shard[static_cast<size_t>(s)];
     if (!shard_result.ok()) continue;
     for (const auto& [r, scraped] : *shard_result) {
-      if (scraped.json_snapshot.empty()) continue;
-      const Status loaded = fleet.LoadSnapshotJson(
-          scraped.json_snapshot, {{"shard", std::to_string(s)},
-                                  {"replica", std::to_string(r)}});
+      const Status loaded = fleet.MergeSnapshot(
+          scraped.snapshot, {{"shard", std::to_string(s)},
+                             {"replica", std::to_string(r)}});
       if (!loaded.ok()) {
         HMMM_LOG(Warning) << "shard " << s << " replica " << r
                           << " metrics snapshot rejected: "
@@ -1015,7 +1011,7 @@ StatusOr<MetricsResponse> CoordinatorService::Metrics() {
   MetricsResponse response;
   response.prometheus_text =
       registry_.RenderPrometheus() + fleet.RenderPrometheus();
-  response.json_snapshot = registry_.SnapshotJson();
+  response.snapshot = registry_.EncodeSnapshot();
   return response;
 }
 

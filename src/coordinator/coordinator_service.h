@@ -158,9 +158,9 @@ class CoordinatorService : public QueryService {
       const MarkPositiveRequest& request) override;
   StatusOr<TrainResponse> Train() override;
   /// Own hmmm_coordinator_* exposition plus the fleet aggregation: every
-  /// live endpoint's SnapshotJson merged into one registry with
+  /// live endpoint's snapshot merged into one registry with
   /// shard="<index>",replica="<index>" labels on each series, rendered
-  /// after the coordinator's own families. json_snapshot carries the
+  /// after the coordinator's own families. `snapshot` carries the
   /// coordinator's own registry only.
   StatusOr<MetricsResponse> Metrics() override;
   StatusOr<HealthResponse> Health() override;

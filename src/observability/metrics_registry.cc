@@ -1,9 +1,10 @@
 #include "observability/metrics_registry.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
 
 #include "common/logging.h"
+#include "common/serialization.h"
 #include "common/strings.h"
 
 namespace hmmm {
@@ -135,198 +136,6 @@ MetricLabels MergeConstLabels(const MetricLabels& labels,
   }
   return merged;
 }
-
-// -- Minimal JSON reader for SnapshotJson payloads ------------------------
-//
-// Parses exactly the JSON subset our own serializers emit (objects,
-// arrays, double-quoted strings with short escapes, numbers, booleans,
-// null). Returns kDataLoss on anything malformed rather than aborting,
-// since snapshots arrive over the network.
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [name, value] : object) {
-      if (name == key) return &value;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  StatusOr<JsonValue> Parse() {
-    HMMM_ASSIGN_OR_RETURN(JsonValue value, ParseValue(0));
-    SkipSpace();
-    if (pos_ != text_.size()) return Malformed("trailing bytes");
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 32;
-
-  Status Malformed(const char* what) const {
-    return Status(StatusCode::kDataLoss,
-                  StrFormat("bad metrics snapshot json: %s at byte %zu",
-                            what, pos_));
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  StatusOr<JsonValue> ParseValue(int depth) {
-    if (depth > kMaxDepth) return Malformed("nesting too deep");
-    SkipSpace();
-    if (pos_ >= text_.size()) return Malformed("truncated");
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(depth);
-    if (c == '[') return ParseArray(depth);
-    if (c == '"') return ParseString();
-    if (c == 't' || c == 'f') return ParseBool();
-    if (c == 'n') {
-      if (text_.substr(pos_, 4) != "null") return Malformed("bad literal");
-      pos_ += 4;
-      return JsonValue{};
-    }
-    return ParseNumber();
-  }
-
-  StatusOr<JsonValue> ParseObject(int depth) {
-    JsonValue value;
-    value.type = JsonValue::Type::kObject;
-    ++pos_;  // '{'
-    if (Consume('}')) return value;
-    while (true) {
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Malformed("expected object key");
-      }
-      HMMM_ASSIGN_OR_RETURN(JsonValue key, ParseString());
-      if (!Consume(':')) return Malformed("expected ':'");
-      HMMM_ASSIGN_OR_RETURN(JsonValue element, ParseValue(depth + 1));
-      value.object.emplace_back(std::move(key.string), std::move(element));
-      if (Consume('}')) return value;
-      if (!Consume(',')) return Malformed("expected ',' or '}'");
-    }
-  }
-
-  StatusOr<JsonValue> ParseArray(int depth) {
-    JsonValue value;
-    value.type = JsonValue::Type::kArray;
-    ++pos_;  // '['
-    if (Consume(']')) return value;
-    while (true) {
-      HMMM_ASSIGN_OR_RETURN(JsonValue element, ParseValue(depth + 1));
-      value.array.push_back(std::move(element));
-      if (Consume(']')) return value;
-      if (!Consume(',')) return Malformed("expected ',' or ']'");
-    }
-  }
-
-  StatusOr<JsonValue> ParseString() {
-    JsonValue value;
-    value.type = JsonValue::Type::kString;
-    ++pos_;  // '"'
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return value;
-      if (c != '\\') {
-        value.string += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': value.string += '"'; break;
-        case '\\': value.string += '\\'; break;
-        case '/': value.string += '/'; break;
-        case 'n': value.string += '\n'; break;
-        case 'r': value.string += '\r'; break;
-        case 't': value.string += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Malformed("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return Malformed("bad \\u escape");
-          }
-          // Our serializers only emit \u for control bytes; anything
-          // beyond Latin-1 would need UTF-8 encoding we don't produce.
-          if (code > 0xFF) return Malformed("unsupported \\u escape");
-          value.string += static_cast<char>(code);
-          break;
-        }
-        default:
-          return Malformed("bad escape");
-      }
-    }
-    return Malformed("unterminated string");
-  }
-
-  StatusOr<JsonValue> ParseBool() {
-    JsonValue value;
-    value.type = JsonValue::Type::kBool;
-    if (text_.substr(pos_, 4) == "true") {
-      value.boolean = true;
-      pos_ += 4;
-      return value;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      value.boolean = false;
-      pos_ += 5;
-      return value;
-    }
-    return Malformed("bad literal");
-  }
-
-  StatusOr<JsonValue> ParseNumber() {
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            (text_[pos_] >= '0' && text_[pos_] <= '9'))) {
-      ++pos_;
-    }
-    if (pos_ == start) return Malformed("expected value");
-    JsonValue value;
-    value.type = JsonValue::Type::kNumber;
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    value.number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return Malformed("bad number");
-    return value;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -593,211 +402,168 @@ std::string MetricsRegistry::RenderJson() const {
       counters.c_str(), gauges.c_str(), histograms.c_str());
 }
 
-std::string MetricsRegistry::SnapshotJson() const {
+std::string MetricsRegistry::EncodeSnapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string metrics;
+  BinaryWriter writer;
+  writer.WriteVarint(metrics_.size());
   for (const auto& [key, entry] : metrics_) {
     (void)key;
-    if (!metrics.empty()) metrics += ',';
-    std::string labels;
+    writer.WriteUint8(static_cast<uint8_t>(entry.kind));
+    writer.WriteString(entry.name);
+    writer.WriteVarint(entry.labels.size());
     for (const auto& [label_name, label_value] : entry.labels) {
-      if (!labels.empty()) labels += ',';
-      labels += StrFormat("[\"%s\",\"%s\"]",
-                          JsonEscapeString(label_name).c_str(),
-                          JsonEscapeString(label_value).c_str());
+      writer.WriteString(label_name);
+      writer.WriteString(label_value);
     }
-    metrics += StrFormat(
-        "{\"kind\":\"%s\",\"name\":\"%s\",\"labels\":[%s],\"help\":\"%s\"",
-        entry.kind == Kind::kCounter ? "counter"
-        : entry.kind == Kind::kGauge ? "gauge"
-                                     : "histogram",
-        JsonEscapeString(entry.name).c_str(), labels.c_str(),
-        JsonEscapeString(entry.help).c_str());
+    writer.WriteString(entry.help);
     switch (entry.kind) {
       case Kind::kCounter:
-        metrics += StrFormat(
-            ",\"value\":%llu}",
-            static_cast<unsigned long long>(entry.counter->value()));
+        writer.WriteUint64(entry.counter->value());
         break;
       case Kind::kGauge:
-        metrics += StrFormat(",\"value\":%s}",
-                             FormatNumber(entry.gauge->value()).c_str());
+        writer.WriteDouble(entry.gauge->value());
         break;
       case Kind::kHistogram: {
         const Histogram& h = *entry.histogram;
-        std::string bounds;
-        for (double bound : h.bounds()) {
-          if (!bounds.empty()) bounds += ',';
-          bounds += FormatNumber(bound);
-        }
-        // Per-bucket counts (not cumulative) so loading is a plain merge.
+        writer.WriteDoubleVector(h.bounds());
         const std::vector<uint64_t> cumulative = h.CumulativeCounts();
-        std::string buckets;
+        writer.WriteVarint(cumulative.size());
         uint64_t previous = 0;
-        for (uint64_t c : cumulative) {
-          if (!buckets.empty()) buckets += ',';
-          buckets += StrFormat("%llu",
-                               static_cast<unsigned long long>(c - previous));
+        for (const uint64_t c : cumulative) {
+          writer.WriteUint64(c - previous);
           previous = c;
         }
-        metrics += StrFormat(
-            ",\"bounds\":[%s],\"buckets\":[%s],\"sum\":%s,\"count\":%llu}",
-            bounds.c_str(), buckets.c_str(), FormatNumber(h.sum()).c_str(),
-            static_cast<unsigned long long>(h.count()));
+        writer.WriteDouble(h.sum());
         break;
       }
     }
   }
-  return StrFormat("{\"v\":1,\"metrics\":[%s]}", metrics.c_str());
+  return std::move(writer).TakeBuffer();
 }
 
-Status MetricsRegistry::LoadSnapshotJson(std::string_view json,
-                                         const MetricLabels& extra_labels) {
-  JsonReader reader(json);
-  HMMM_ASSIGN_OR_RETURN(const JsonValue root, reader.Parse());
-  if (root.type != JsonValue::Type::kObject) {
-    return Status(StatusCode::kDataLoss, "snapshot is not a json object");
-  }
-  const JsonValue* version = root.Find("v");
-  if (version == nullptr || version->type != JsonValue::Type::kNumber ||
-      version->number != 1.0) {
-    return Status(StatusCode::kDataLoss, "unknown snapshot version");
-  }
-  const JsonValue* metrics = root.Find("metrics");
-  if (metrics == nullptr || metrics->type != JsonValue::Type::kArray) {
-    return Status(StatusCode::kDataLoss, "snapshot lacks metrics array");
-  }
+Status MetricsRegistry::MergeSnapshot(std::string_view bytes,
+                                      const MetricLabels& extra_labels) {
   const auto bad = [](const char* what) {
-    return Status(StatusCode::kDataLoss,
-                  StrFormat("bad snapshot metric: %s", what));
+    return Status::DataLoss(StrFormat("bad metrics snapshot: %s", what));
   };
-  for (const JsonValue& metric : metrics->array) {
-    if (metric.type != JsonValue::Type::kObject) return bad("not an object");
-    const JsonValue* kind = metric.Find("kind");
-    const JsonValue* name = metric.Find("name");
-    const JsonValue* labels_value = metric.Find("labels");
-    const JsonValue* help = metric.Find("help");
-    if (kind == nullptr || kind->type != JsonValue::Type::kString ||
-        name == nullptr || name->type != JsonValue::Type::kString ||
-        labels_value == nullptr ||
-        labels_value->type != JsonValue::Type::kArray) {
-      return bad("missing kind/name/labels");
-    }
-    if (!IsValidMetricName(name->string)) return bad("metric name");
+  for (const auto& [label_name, label_value] : extra_labels) {
+    (void)label_value;
+    if (!IsValidLabelName(label_name)) return bad("extra label name");
+  }
+  // Decode and validate everything before touching the registry. A count
+  // larger than the bytes left is hostile (each element takes at least
+  // one byte), and elements are appended as they decode, so memory grows
+  // with the input actually read, not with a claimed count.
+  struct Series {
+    Kind kind = Kind::kCounter;
+    std::string name;
     MetricLabels labels;
-    for (const JsonValue& label : labels_value->array) {
-      if (label.type != JsonValue::Type::kArray ||
-          label.array.size() != 2 ||
-          label.array[0].type != JsonValue::Type::kString ||
-          label.array[1].type != JsonValue::Type::kString) {
-        return bad("label entry");
-      }
-      if (!IsValidLabelName(label.array[0].string)) return bad("label name");
-      labels.emplace_back(label.array[0].string, label.array[1].string);
+    std::string help;
+    uint64_t counter = 0;
+    double value = 0.0;  // gauge value or histogram sum
+    std::vector<double> bounds;
+    std::vector<uint64_t> buckets;
+  };
+  BinaryReader reader(bytes);
+  HMMM_ASSIGN_OR_RETURN(const uint64_t count, reader.ReadVarint());
+  if (count > reader.remaining()) return bad("series count");
+  std::vector<Series> decoded;
+  for (uint64_t i = 0; i < count; ++i) {
+    Series series;
+    HMMM_ASSIGN_OR_RETURN(const uint8_t kind, reader.ReadUint8());
+    if (kind > static_cast<uint8_t>(Kind::kHistogram)) return bad("kind");
+    series.kind = static_cast<Kind>(kind);
+    HMMM_ASSIGN_OR_RETURN(series.name, reader.ReadString());
+    if (!IsValidMetricName(series.name)) return bad("metric name");
+    HMMM_ASSIGN_OR_RETURN(const uint64_t num_labels, reader.ReadVarint());
+    if (num_labels > reader.remaining()) return bad("label count");
+    for (uint64_t l = 0; l < num_labels; ++l) {
+      HMMM_ASSIGN_OR_RETURN(std::string label_name, reader.ReadString());
+      if (!IsValidLabelName(label_name)) return bad("label name");
+      HMMM_ASSIGN_OR_RETURN(std::string label_value, reader.ReadString());
+      series.labels.emplace_back(std::move(label_name),
+                                 std::move(label_value));
     }
-    for (const auto& [label_name, label_value] : extra_labels) {
-      (void)label_value;
-      if (!IsValidLabelName(label_name)) return bad("extra label name");
-    }
-    labels = MergeConstLabels(labels, extra_labels);
-    const std::string help_text =
-        help != nullptr && help->type == JsonValue::Type::kString
-            ? help->string
-            : "";
-
-    // Resolve by hand instead of through ResolveLocked: a remote kind or
-    // bounds conflict must surface as a Status, not abort the process.
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::string series_key =
-        name->string + '\x01' + RenderLabels(labels);
-    const Kind want = kind->string == "counter"  ? Kind::kCounter
-                      : kind->string == "gauge"  ? Kind::kGauge
-                      : kind->string == "histogram"
-                          ? Kind::kHistogram
-                          : Kind::kCounter;
-    if (kind->string != "counter" && kind->string != "gauge" &&
-        kind->string != "histogram") {
-      return bad("kind");
-    }
-    auto it = metrics_.find(series_key);
-    if (it != metrics_.end() && it->second.kind != want) {
-      return Status(StatusCode::kDataLoss,
-                    StrFormat("snapshot kind conflict on %s",
-                              name->string.c_str()));
-    }
-    if (it == metrics_.end()) {
-      Entry entry;
-      entry.kind = want;
-      entry.name = name->string;
-      entry.labels = labels;
-      entry.help = help_text;
-      it = metrics_.emplace(series_key, std::move(entry)).first;
-    }
-    Entry& entry = it->second;
-    switch (want) {
+    series.labels = MergeConstLabels(series.labels, extra_labels);
+    HMMM_ASSIGN_OR_RETURN(series.help, reader.ReadString());
+    switch (series.kind) {
       case Kind::kCounter: {
-        const JsonValue* value = metric.Find("value");
-        if (value == nullptr || value->type != JsonValue::Type::kNumber ||
-            value->number < 0) {
-          return bad("counter value");
-        }
-        if (entry.counter == nullptr) {
-          entry.counter = std::make_unique<Counter>();
-        }
-        entry.counter->Increment(static_cast<uint64_t>(value->number));
+        HMMM_ASSIGN_OR_RETURN(series.counter, reader.ReadUint64());
         break;
       }
       case Kind::kGauge: {
-        const JsonValue* value = metric.Find("value");
-        if (value == nullptr || value->type != JsonValue::Type::kNumber) {
-          return bad("gauge value");
-        }
-        if (entry.gauge == nullptr) entry.gauge = std::make_unique<Gauge>();
-        entry.gauge->Set(value->number);
+        HMMM_ASSIGN_OR_RETURN(series.value, reader.ReadDouble());
         break;
       }
       case Kind::kHistogram: {
-        const JsonValue* bounds_value = metric.Find("bounds");
-        const JsonValue* buckets_value = metric.Find("buckets");
-        const JsonValue* sum = metric.Find("sum");
-        if (bounds_value == nullptr ||
-            bounds_value->type != JsonValue::Type::kArray ||
-            buckets_value == nullptr ||
-            buckets_value->type != JsonValue::Type::kArray ||
-            sum == nullptr || sum->type != JsonValue::Type::kNumber) {
-          return bad("histogram fields");
-        }
-        std::vector<double> bounds;
-        bounds.reserve(bounds_value->array.size());
-        for (const JsonValue& bound : bounds_value->array) {
-          if (bound.type != JsonValue::Type::kNumber) return bad("bound");
-          if (!bounds.empty() && bound.number <= bounds.back()) {
+        HMMM_ASSIGN_OR_RETURN(series.bounds, reader.ReadDoubleVector());
+        const std::vector<double>& bounds = series.bounds;
+        for (size_t b = 0; b < bounds.size(); ++b) {
+          // Written so a NaN bound fails too.
+          if (std::isnan(bounds[b]) ||
+              (b > 0 && !(bounds[b - 1] < bounds[b]))) {
             return bad("bounds not ascending");
           }
-          bounds.push_back(bound.number);
         }
-        if (buckets_value->array.size() != bounds.size() + 1) {
+        HMMM_ASSIGN_OR_RETURN(const uint64_t num_buckets, reader.ReadVarint());
+        if (num_buckets != series.bounds.size() + 1) {
           return bad("bucket count");
         }
-        std::vector<uint64_t> buckets;
-        buckets.reserve(buckets_value->array.size());
-        for (const JsonValue& bucket : buckets_value->array) {
-          if (bucket.type != JsonValue::Type::kNumber ||
-              bucket.number < 0) {
-            return bad("bucket value");
-          }
-          buckets.push_back(static_cast<uint64_t>(bucket.number));
+        series.buckets.resize(static_cast<size_t>(num_buckets));
+        for (uint64_t& bucket : series.buckets) {
+          HMMM_ASSIGN_OR_RETURN(bucket, reader.ReadUint64());
         }
-        if (entry.histogram == nullptr) {
-          entry.histogram = std::make_unique<Histogram>(bounds);
-        } else if (entry.histogram->bounds() != bounds) {
-          return Status(StatusCode::kDataLoss,
-                        StrFormat("snapshot bounds conflict on %s",
-                                  name->string.c_str()));
-        }
-        entry.histogram->MergeBucketized(buckets, sum->number);
+        HMMM_ASSIGN_OR_RETURN(series.value, reader.ReadDouble());
         break;
       }
+    }
+    decoded.push_back(std::move(series));
+  }
+  if (!reader.AtEnd()) return bad("trailing bytes");
+
+  // Resolve by hand instead of through ResolveLocked: a remote kind or
+  // bounds conflict must surface as a Status, not abort the process.
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (Series& series : decoded) {
+    const std::string key = series.name + '\x01' + RenderLabels(series.labels);
+    auto it = metrics_.find(key);
+    if (it != metrics_.end() &&
+        (it->second.kind != series.kind ||
+         (series.kind == Kind::kHistogram &&
+          it->second.histogram->bounds() != series.bounds))) {
+      return Status::DataLoss(StrFormat(
+          "snapshot kind or bounds conflict on %s", series.name.c_str()));
+    }
+    if (it == metrics_.end()) {
+      Entry entry;
+      entry.kind = series.kind;
+      entry.name = series.name;
+      entry.labels = std::move(series.labels);
+      entry.help = std::move(series.help);
+      switch (series.kind) {
+        case Kind::kCounter:
+          entry.counter = std::make_unique<Counter>();
+          break;
+        case Kind::kGauge:
+          entry.gauge = std::make_unique<Gauge>();
+          break;
+        case Kind::kHistogram:
+          entry.histogram = std::make_unique<Histogram>(series.bounds);
+          break;
+      }
+      it = metrics_.emplace(key, std::move(entry)).first;
+    }
+    Entry& entry = it->second;
+    switch (series.kind) {
+      case Kind::kCounter:
+        entry.counter->Increment(series.counter);
+        break;
+      case Kind::kGauge:
+        entry.gauge->Set(series.value);
+        break;
+      case Kind::kHistogram:
+        entry.histogram->MergeBucketized(series.buckets, series.value);
+        break;
     }
   }
   return Status::OK();

@@ -68,8 +68,8 @@ class Histogram {
 
   /// Adds pre-bucketed observations: `bucket_counts` are per-bucket
   /// (non-cumulative) counts, one entry per finite bound plus the +Inf
-  /// bucket; `sum` is their combined observation sum. Used by the
-  /// snapshot loader to merge a remote histogram.
+  /// bucket; `sum` is their combined observation sum. Used by
+  /// MetricsRegistry::MergeSnapshot to merge a remote histogram.
   void MergeBucketized(const std::vector<uint64_t>& bucket_counts,
                        double sum);
 
@@ -139,21 +139,24 @@ class MetricsRegistry {
   /// {name:{"count":..,"sum":..,"buckets":[{"le":..,"count":..}]}}}.
   std::string RenderJson() const;
 
-  /// Machine-readable snapshot that round-trips through
-  /// LoadSnapshotJson: {"v":1,"metrics":[{"kind":..,"name":..,
-  /// "labels":[[k,v],..],"help":..,<kind-specific values>},..]}.
-  /// Histograms carry per-bucket (non-cumulative) counts so loading is a
-  /// plain merge. Carried over the wire as MetricsResponse.json_snapshot
-  /// and aggregated fleet-wide by the coordinator.
-  std::string SnapshotJson() const;
+  /// Binary snapshot of every series (BinaryWriter encoding): kind,
+  /// name, labels, help and values, with histograms carried as bounds
+  /// plus per-bucket (non-cumulative) counts and sum, so merging is a
+  /// plain add. Carried over the wire as MetricsResponse::snapshot and
+  /// aggregated fleet-wide by the coordinator.
+  std::string EncodeSnapshot() const;
 
-  /// Merges a SnapshotJson() payload into this registry, appending
+  /// Merges an EncodeSnapshot() payload into this registry, appending
   /// `extra_labels` (e.g. {{"shard","1"}}) to every series. Counters and
-  /// histograms add onto existing series; gauges overwrite. Malformed
-  /// input or a kind/bounds conflict with an existing series returns
-  /// kDataLoss — entries applied before the error stick.
-  Status LoadSnapshotJson(std::string_view json,
-                          const MetricLabels& extra_labels = {});
+  /// histograms add onto existing series; gauges overwrite. The bytes
+  /// may come from the network: malformed or truncated input, a hostile
+  /// element count, an invalid metric or label name, an unknown kind,
+  /// non-ascending bounds, a bucket count other than bounds + 1, or a
+  /// kind/bounds conflict with an existing series returns kDataLoss. The
+  /// whole payload is decoded before anything merges, so only a conflict
+  /// can stop a merge part-way (series merged before it stay).
+  Status MergeSnapshot(std::string_view bytes,
+                       const MetricLabels& extra_labels = {});
 
   /// Zeroes every registered metric's value, keeping registration (and
   /// the pointers handed out) intact. For tests.

@@ -12,7 +12,7 @@
 
 namespace hmmm {
 
-/// Cross-process trace identity carried in wire-v2 query payloads. A zero
+/// Cross-process trace identity carried in wire query payloads. A zero
 /// trace id means "unset"; the first traced hop mints one and every
 /// downstream span and error log line carries it.
 struct TraceContext {

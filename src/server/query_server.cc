@@ -40,12 +40,10 @@ const char* FramingErrorMessage(WireError code) {
 
 /// True when `buffer` holds either one complete frame or a framing error
 /// that MaybeDispatch would turn into an answerable job.
-bool HasCompleteFrame(const std::string& buffer, uint32_t max_frame_bytes,
-                      uint16_t max_version) {
+bool HasCompleteFrame(const std::string& buffer, uint32_t max_frame_bytes) {
   if (buffer.size() < kFrameHeaderBytes) return false;
   FrameHeader header;
-  const WireError error =
-      DecodeFrameHeader(buffer, max_frame_bytes, &header, max_version);
+  const WireError error = DecodeFrameHeader(buffer, max_frame_bytes, &header);
   if (error == WireError::kBadMagic || error == WireError::kFrameTooLarge ||
       error == WireError::kUnsupportedVersion) {
     return true;
@@ -117,9 +115,9 @@ Status QueryServer::Start() {
   }
 
   workers_ = std::make_unique<ThreadPool>(options_.num_workers);
+  draining_.store(false);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    draining_ = false;
     stop_io_ = false;
   }
   running_.store(true, std::memory_order_release);
@@ -141,10 +139,7 @@ void QueryServer::Shutdown() {
   // (the mutex) and then see running_ == false.
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
   if (!running_.load(std::memory_order_acquire)) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    draining_ = true;
-  }
+  draining_.store(true);
   Wake();  // IO thread closes the listener and stops accepting
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -300,8 +295,7 @@ bool QueryServer::ReadAvailable(Connection* conn) {
       // Peer finished sending. Frames already buffered in full still get
       // answered (pipelined requests then close); anything partial dies
       // with the connection.
-      if (HasCompleteFrame(conn->buffer, options_.max_frame_bytes,
-                           options_.protocol_version)) {
+      if (HasCompleteFrame(conn->buffer, options_.max_frame_bytes)) {
         conn->close_after_flush = true;
         return true;
       }
@@ -318,14 +312,13 @@ void QueryServer::MaybeDispatch(int fd, Connection* conn) {
   while (conn->buffer.size() >= kFrameHeaderBytes) {
     FrameHeader header;
     const WireError header_error =
-        DecodeFrameHeader(conn->buffer, options_.max_frame_bytes, &header,
-                          options_.protocol_version);
+        DecodeFrameHeader(conn->buffer, options_.max_frame_bytes, &header);
     if (header_error == WireError::kBadMagic ||
         header_error == WireError::kFrameTooLarge ||
         header_error == WireError::kUnsupportedVersion) {
       // The stream cannot be trusted past this point (desynced, about to
-      // overflow, or speaking a schema we don't know): answer a typed
-      // error, then close.
+      // overflow, or speaking another schema): answer a typed error, then
+      // close.
       if (header_error != WireError::kUnsupportedVersion) {
         corrupt_frames_total_->Increment();
       }
@@ -355,9 +348,6 @@ void QueryServer::MaybeDispatch(int fd, Connection* conn) {
     }
     FrameJob job;
     job.type = header.type;
-    // The header passed magic/CRC/version checks, so the frame's own
-    // version is trusted and the response is stamped with it.
-    job.version = header.version;
     if (!IsRequestType(header.type)) {
       // Well-framed but not a request we know: typed error, connection
       // stays usable.
@@ -412,16 +402,17 @@ void QueryServer::ProcessBatch(int fd, Connection* conn,
                                std::vector<FrameJob> jobs) {
   // Supersession pre-pass: the newest cancel_generation in the batch
   // wins before any request executes, so a stale query queued behind a
-  // fresh one is skipped even within one batch.
-  for (const FrameJob& job : jobs) {
+  // fresh one is skipped even within one batch. Each decode (or its
+  // error) is kept for the handler.
+  for (FrameJob& job : jobs) {
     if (job.framing_error != WireError::kNone ||
         job.type != MessageType::kTemporalQueryRequest) {
       continue;
     }
-    StatusOr<TemporalQueryRequest> decoded =
-        DecodeTemporalQueryRequest(job.payload, job.version);
-    if (decoded.ok() && decoded->cancel_generation > conn->max_generation) {
-      conn->max_generation = decoded->cancel_generation;
+    job.query = DecodeTemporalQueryRequest(job.payload);
+    if (job.query->ok() &&
+        (*job.query)->cancel_generation > conn->max_generation) {
+      conn->max_generation = (*job.query)->cancel_generation;
     }
   }
   bool write_failed = false;
@@ -458,154 +449,136 @@ void QueryServer::ProcessBatch(int fd, Connection* conn,
 std::string QueryServer::HandleJob(Connection* conn, const FrameJob& job) {
   if (job.framing_error != WireError::kNone) {
     return ErrorFrame(job.framing_error,
-                      FramingErrorMessage(job.framing_error), job.version);
+                      FramingErrorMessage(job.framing_error));
   }
   const auto tag = static_cast<uint16_t>(job.type);
   if (tag < requests_total_by_type_.size() &&
       requests_total_by_type_[tag] != nullptr) {
     requests_total_by_type_[tag]->Increment();
   }
-  bool draining;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    draining = draining_;
-  }
   switch (job.type) {
     // Health, Metrics and the slow-query dump keep answering during a
     // drain so probes (and a post-incident scrape) can watch the
     // shutdown progress.
     case MessageType::kHealthRequest:
-      return HandleHealth(job.version);
+      return HandleHealth();
     case MessageType::kMetricsRequest:
-      return HandleMetrics(job.version);
+      return HandleMetrics();
     case MessageType::kDumpSlowQueriesRequest:
-      return HandleDumpSlowQueries(job.version);
+      return HandleDumpSlowQueries();
     default:
       break;
   }
-  if (draining) {
+  if (draining_.load()) {
     return ErrorFrame(WireError::kShuttingDown,
-                      "server is draining; retry against another replica",
-                      job.version);
+                      "server is draining; retry against another replica");
   }
   switch (job.type) {
     case MessageType::kTemporalQueryRequest:
-      return HandleTemporalQuery(conn, job.payload, job.version);
+      return HandleTemporalQuery(conn, *job.query);
     case MessageType::kQbeRequest:
-      return HandleQbe(job.payload, job.version);
+      return HandleQbe(job.payload);
     case MessageType::kMarkPositiveRequest:
-      return HandleMarkPositive(job.payload, job.version);
+      return HandleMarkPositive(job.payload);
     case MessageType::kTrainRequest:
-      return HandleTrain(job.version);
+      return HandleTrain();
     case MessageType::kReloadShardMapRequest:
-      return HandleReloadShardMap(job.payload, job.version);
+      return HandleReloadShardMap(job.payload);
     default:
       return ErrorFrame(WireError::kUnknownMessageType,
-                        FramingErrorMessage(WireError::kUnknownMessageType),
-                        job.version);
+                        FramingErrorMessage(WireError::kUnknownMessageType));
   }
 }
 
-std::string QueryServer::HandleTemporalQuery(Connection* conn,
-                                             const std::string& payload,
-                                             uint16_t version) {
-  StatusOr<TemporalQueryRequest> decoded =
-      DecodeTemporalQueryRequest(payload, version);
+std::string QueryServer::HandleTemporalQuery(
+    Connection* conn, const StatusOr<TemporalQueryRequest>& decoded) {
   if (!decoded.ok()) {
     return ErrorFrame(WireError::kMalformedPayload,
-                      decoded.status().message(), version);
+                      decoded.status().message());
   }
   const TemporalQueryRequest& request = *decoded;
   if (request.cancel_generation != 0 &&
       request.cancel_generation < conn->max_generation) {
     return ErrorFrame(WireError::kSuperseded,
-                      "replaced by a newer request generation", version);
+                      "replaced by a newer request generation");
   }
   StatusOr<TemporalQueryResponse> response =
       service_->TemporalQuery(request, &shutdown_token_);
-  if (!response.ok()) return StatusErrorFrame(response.status(), version);
+  if (!response.ok()) return StatusErrorFrame(response.status());
   return EncodeFrame(MessageType::kTemporalQueryResponse,
-                     EncodeTemporalQueryResponse(*response, version), version);
+                     EncodeTemporalQueryResponse(*response));
 }
 
-std::string QueryServer::HandleQbe(const std::string& payload,
-                                   uint16_t version) {
-  StatusOr<QbeRequest> decoded = DecodeQbeRequest(payload, version);
+std::string QueryServer::HandleQbe(const std::string& payload) {
+  StatusOr<QbeRequest> decoded = DecodeQbeRequest(payload);
   if (!decoded.ok()) {
     return ErrorFrame(WireError::kMalformedPayload,
-                      decoded.status().message(), version);
+                      decoded.status().message());
   }
   StatusOr<QbeResponse> response = service_->QueryByExample(*decoded);
-  if (!response.ok()) return StatusErrorFrame(response.status(), version);
-  return EncodeFrame(MessageType::kQbeResponse,
-                     EncodeQbeResponse(*response, version), version);
+  if (!response.ok()) return StatusErrorFrame(response.status());
+  return EncodeFrame(MessageType::kQbeResponse, EncodeQbeResponse(*response));
 }
 
-std::string QueryServer::HandleMarkPositive(const std::string& payload,
-                                            uint16_t version) {
+std::string QueryServer::HandleMarkPositive(const std::string& payload) {
   StatusOr<MarkPositiveRequest> decoded = DecodeMarkPositiveRequest(payload);
   if (!decoded.ok()) {
     return ErrorFrame(WireError::kMalformedPayload,
-                      decoded.status().message(), version);
+                      decoded.status().message());
   }
   StatusOr<MarkPositiveResponse> response =
       service_->MarkPositive(*decoded);
-  if (!response.ok()) return StatusErrorFrame(response.status(), version);
+  if (!response.ok()) return StatusErrorFrame(response.status());
   return EncodeFrame(MessageType::kMarkPositiveResponse,
-                     EncodeMarkPositiveResponse(*response), version);
+                     EncodeMarkPositiveResponse(*response));
 }
 
-std::string QueryServer::HandleTrain(uint16_t version) {
+std::string QueryServer::HandleTrain() {
   StatusOr<TrainResponse> response = service_->Train();
-  if (!response.ok()) return StatusErrorFrame(response.status(), version);
+  if (!response.ok()) return StatusErrorFrame(response.status());
   return EncodeFrame(MessageType::kTrainResponse,
-                     EncodeTrainResponse(*response), version);
+                     EncodeTrainResponse(*response));
 }
 
-std::string QueryServer::HandleMetrics(uint16_t version) {
+std::string QueryServer::HandleMetrics() {
   StatusOr<MetricsResponse> response = service_->Metrics();
-  if (!response.ok()) return StatusErrorFrame(response.status(), version);
+  if (!response.ok()) return StatusErrorFrame(response.status());
   return EncodeFrame(MessageType::kMetricsResponse,
-                     EncodeMetricsResponse(*response, version), version);
+                     EncodeMetricsResponse(*response));
 }
 
-std::string QueryServer::HandleHealth(uint16_t version) {
+std::string QueryServer::HandleHealth() {
   StatusOr<HealthResponse> health = service_->Health();
-  if (!health.ok()) return StatusErrorFrame(health.status(), version);
+  if (!health.ok()) return StatusErrorFrame(health.status());
   HealthResponse response = std::move(health).value();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    response.draining = draining_;
-  }
+  response.draining = draining_.load();
   return EncodeFrame(MessageType::kHealthResponse,
-                     EncodeHealthResponse(response), version);
+                     EncodeHealthResponse(response));
 }
 
-std::string QueryServer::HandleDumpSlowQueries(uint16_t version) {
+std::string QueryServer::HandleDumpSlowQueries() {
   StatusOr<DumpSlowQueriesResponse> response = service_->DumpSlowQueries();
-  if (!response.ok()) return StatusErrorFrame(response.status(), version);
+  if (!response.ok()) return StatusErrorFrame(response.status());
   return EncodeFrame(MessageType::kDumpSlowQueriesResponse,
-                     EncodeDumpSlowQueriesResponse(*response), version);
+                     EncodeDumpSlowQueriesResponse(*response));
 }
 
-std::string QueryServer::HandleReloadShardMap(const std::string& payload,
-                                              uint16_t version) {
+std::string QueryServer::HandleReloadShardMap(const std::string& payload) {
   StatusOr<ReloadShardMapRequest> decoded =
       DecodeReloadShardMapRequest(payload);
   if (!decoded.ok()) {
     return ErrorFrame(WireError::kMalformedPayload,
-                      decoded.status().message(), version);
+                      decoded.status().message());
   }
   StatusOr<ReloadShardMapResponse> response =
       service_->ReloadShardMap(*decoded);
-  if (!response.ok()) return StatusErrorFrame(response.status(), version);
+  if (!response.ok()) return StatusErrorFrame(response.status());
   return EncodeFrame(MessageType::kReloadShardMapResponse,
-                     EncodeReloadShardMapResponse(*response), version);
+                     EncodeReloadShardMapResponse(*response));
 }
 
 std::string QueryServer::ErrorFrame(WireError code,
-                                    const std::string& message,
-                                    uint16_t version) {
+                                    const std::string& message) {
   service_->metrics_registry()
       .GetCounter("hmmm_server_errors_total",
                   {{"code", WireErrorName(code)}},
@@ -616,12 +589,11 @@ std::string QueryServer::ErrorFrame(WireError code,
   response.retriable = WireErrorRetriable(code);
   response.message = message;
   return EncodeFrame(MessageType::kErrorResponse,
-                     EncodeErrorResponse(response), version);
+                     EncodeErrorResponse(response));
 }
 
-std::string QueryServer::StatusErrorFrame(const Status& status,
-                                          uint16_t version) {
-  return ErrorFrame(WireErrorFromStatus(status), status.message(), version);
+std::string QueryServer::StatusErrorFrame(const Status& status) {
+  return ErrorFrame(WireErrorFromStatus(status), status.message());
 }
 
 }  // namespace hmmm

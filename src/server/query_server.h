@@ -9,6 +9,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -43,13 +44,6 @@ struct QueryServerOptions {
   /// Graceful-shutdown budget: how long Shutdown() lets in-flight
   /// requests finish before cancelling them through the shutdown token.
   std::chrono::milliseconds drain_timeout{5000};
-  /// Highest wire protocol version this server speaks. Requests above it
-  /// are answered with a typed kUnsupportedVersion error; requests at or
-  /// below are answered in the request frame's own version, so old
-  /// clients get old-schema responses byte-for-byte. Lowering this below
-  /// kWireProtocolVersion emulates an old server (used by the
-  /// mixed-version tests).
-  uint16_t protocol_version = kWireProtocolVersion;
 };
 
 /// Multi-threaded TCP front end for a VideoDatabase, speaking the binary
@@ -119,10 +113,9 @@ class QueryServer {
     MessageType type = MessageType::kErrorResponse;
     std::string payload;
     WireError framing_error = WireError::kNone;
-    /// Protocol version of the request frame; responses (including typed
-    /// errors) are encoded and stamped at this version. Framing errors
-    /// where no version could be trusted answer at the floor version.
-    uint16_t version = kWireMinProtocolVersion;
+    /// A TemporalQuery payload decoded once, by ProcessBatch's
+    /// supersession pre-pass; HandleTemporalQuery answers from it.
+    std::optional<StatusOr<TemporalQueryRequest>> query;
   };
 
   /// Per-connection state. Ownership alternates: the IO thread touches
@@ -155,21 +148,18 @@ class QueryServer {
   void ProcessBatch(int fd, Connection* conn, std::vector<FrameJob> jobs);
   /// Executes one request job into a ready-to-send response frame.
   std::string HandleJob(Connection* conn, const FrameJob& job);
-  std::string HandleTemporalQuery(Connection* conn, const std::string& payload,
-                                  uint16_t version);
-  std::string HandleQbe(const std::string& payload, uint16_t version);
-  std::string HandleMarkPositive(const std::string& payload, uint16_t version);
-  std::string HandleTrain(uint16_t version);
-  std::string HandleMetrics(uint16_t version);
-  std::string HandleHealth(uint16_t version);
-  std::string HandleDumpSlowQueries(uint16_t version);
-  std::string HandleReloadShardMap(const std::string& payload,
-                                   uint16_t version);
-  /// Builds a typed error frame (stamped at `version`) and bumps
-  /// hmmm_server_errors_total{code}.
-  std::string ErrorFrame(WireError code, const std::string& message,
-                         uint16_t version);
-  std::string StatusErrorFrame(const Status& status, uint16_t version);
+  std::string HandleTemporalQuery(
+      Connection* conn, const StatusOr<TemporalQueryRequest>& decoded);
+  std::string HandleQbe(const std::string& payload);
+  std::string HandleMarkPositive(const std::string& payload);
+  std::string HandleTrain();
+  std::string HandleMetrics();
+  std::string HandleHealth();
+  std::string HandleDumpSlowQueries();
+  std::string HandleReloadShardMap(const std::string& payload);
+  /// Builds a typed error frame and bumps hmmm_server_errors_total{code}.
+  std::string ErrorFrame(WireError code, const std::string& message);
+  std::string StatusErrorFrame(const Status& status);
 
   /// Writes one byte into the self-wake pipe (interrupts poll()).
   void Wake();
@@ -193,6 +183,9 @@ class QueryServer {
   /// destructor racing a signal handler's explicit call).
   std::mutex shutdown_mutex_;
 
+  /// Set by Shutdown (cleared by Start): read lock-free on every request.
+  std::atomic<bool> draining_{false};
+
   /// Guards connections_ membership, the busy flips, the re-arm queue
   /// and the drain accounting below.
   std::mutex mutex_;
@@ -200,7 +193,6 @@ class QueryServer {
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   std::deque<int> rearm_queue_;
   int busy_connections_ = 0;
-  bool draining_ = false;
   bool stop_io_ = false;
 
   // Metric handles into db_->metrics_registry() (stable addresses).

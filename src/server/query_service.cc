@@ -111,10 +111,7 @@ StatusOr<TemporalQueryResponse> VideoDatabaseService::TemporalQuery(
   response.videos_skipped = stats.videos_skipped;
   response.has_stats = request.want_stats;
   if (request.want_stats) response.stats = stats;
-  if (request.want_trace) {
-    response.trace_jsonl = trace.RenderJsonl();
-    response.trace_blob = SerializeSpans(trace.Spans());
-  }
+  if (request.want_trace) response.trace_blob = SerializeSpans(trace.Spans());
 
   if (stats.degraded || total_ms >= options_.slow_query_threshold_ms) {
     SlowQueryEntry entry;
@@ -224,7 +221,7 @@ StatusOr<TrainResponse> VideoDatabaseService::Train() {
 StatusOr<MetricsResponse> VideoDatabaseService::Metrics() {
   MetricsResponse response;
   response.prometheus_text = db_->DumpMetricsPrometheus();
-  response.json_snapshot = db_->metrics_registry().SnapshotJson();
+  response.snapshot = db_->metrics_registry().EncodeSnapshot();
   return response;
 }
 

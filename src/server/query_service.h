@@ -42,12 +42,12 @@ class QueryService {
   virtual StatusOr<MetricsResponse> Metrics() = 0;
   /// The server overrides HealthResponse::draining with its own state.
   virtual StatusOr<HealthResponse> Health() = 0;
-  /// Snapshot of the service's slow-query ring buffer (v2 wire request).
+  /// Snapshot of the service's slow-query ring buffer.
   /// Default: empty log, so minimal test services need not implement it.
   virtual StatusOr<DumpSlowQueriesResponse> DumpSlowQueries();
-  /// Hot shard-map swap (v3 wire request). Only routing front ends
-  /// (CoordinatorService) implement it; default: kUnimplemented, so leaf
-  /// shard servers answer with a typed error.
+  /// Hot shard-map swap. Only routing front ends (CoordinatorService)
+  /// implement it; default: kUnimplemented, so leaf shard servers answer
+  /// with a typed error.
   virtual StatusOr<ReloadShardMapResponse> ReloadShardMap(
       const ReloadShardMapRequest& request);
 };

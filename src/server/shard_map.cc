@@ -1,6 +1,5 @@
 #include "server/shard_map.h"
 
-#include "common/logging.h"
 #include "common/serialization.h"
 #include "common/strings.h"
 
@@ -66,57 +65,52 @@ ShardMap ShardMapFromPartition(const std::vector<CatalogShard>& shards,
   return map;
 }
 
-std::string SerializeShardMap(const ShardMap& map, uint32_t version) {
-  HMMM_CHECK(version >= kShardMapMinVersion && version <= kShardMapVersion);
+std::string SerializeShardMap(const ShardMap& map) {
   BinaryWriter w;
   w.WriteInt64(map.total_videos);
   w.WriteInt64(map.total_shots);
-  if (version >= 2) w.WriteVarint(map.epoch);
+  w.WriteVarint(map.epoch);
   w.WriteVarint(map.shards.size());
   for (const ShardMapEntry& entry : map.shards) {
     w.WriteString(entry.endpoint);
-    if (version >= 2) {
-      w.WriteVarint(entry.replica_endpoints.size());
-      for (const std::string& replica : entry.replica_endpoints) {
-        w.WriteString(replica);
-      }
+    w.WriteVarint(entry.replica_endpoints.size());
+    for (const std::string& replica : entry.replica_endpoints) {
+      w.WriteString(replica);
     }
     w.WriteInt32(entry.video_begin);
     w.WriteInt32(entry.video_end);
     w.WriteInt32Vector(std::vector<int32_t>(entry.shot_to_global.begin(),
                                             entry.shot_to_global.end()));
   }
-  return WrapChecksummed(kShardMapMagic, version, w.buffer());
+  return WrapChecksummed(kShardMapMagic, kShardMapVersion, w.buffer());
 }
 
 StatusOr<ShardMap> DeserializeShardMap(std::string_view data) {
   uint32_t version = 0;
   HMMM_ASSIGN_OR_RETURN(std::string payload,
                         UnwrapChecksummed(kShardMapMagic, data, &version));
-  if (version < kShardMapMinVersion || version > kShardMapVersion) {
-    return Status::DataLoss("unsupported shard map version");
+  if (version != kShardMapVersion) {
+    return Status::DataLoss(
+        StrFormat("unsupported shard map version %u (this build reads %u)",
+                  version, kShardMapVersion));
   }
   BinaryReader r(payload);
   ShardMap map;
   HMMM_ASSIGN_OR_RETURN(map.total_videos, r.ReadInt64());
   HMMM_ASSIGN_OR_RETURN(map.total_shots, r.ReadInt64());
-  if (version >= 2) {
-    HMMM_ASSIGN_OR_RETURN(map.epoch, r.ReadVarint());
-  }
+  HMMM_ASSIGN_OR_RETURN(map.epoch, r.ReadVarint());
   HMMM_ASSIGN_OR_RETURN(const uint64_t num_shards, r.ReadVarint());
   for (uint64_t i = 0; i < num_shards; ++i) {
     ShardMapEntry entry;
     HMMM_ASSIGN_OR_RETURN(entry.endpoint, r.ReadString());
-    if (version >= 2) {
-      HMMM_ASSIGN_OR_RETURN(const uint64_t num_replicas, r.ReadVarint());
-      if (num_replicas > payload.size()) {
-        return Status::DataLoss("shard map replica count implausible");
-      }
-      entry.replica_endpoints.reserve(num_replicas);
-      for (uint64_t k = 0; k < num_replicas; ++k) {
-        HMMM_ASSIGN_OR_RETURN(std::string replica, r.ReadString());
-        entry.replica_endpoints.push_back(std::move(replica));
-      }
+    HMMM_ASSIGN_OR_RETURN(const uint64_t num_replicas, r.ReadVarint());
+    if (num_replicas > payload.size()) {
+      return Status::DataLoss("shard map replica count implausible");
+    }
+    entry.replica_endpoints.reserve(num_replicas);
+    for (uint64_t k = 0; k < num_replicas; ++k) {
+      HMMM_ASSIGN_OR_RETURN(std::string replica, r.ReadString());
+      entry.replica_endpoints.push_back(std::move(replica));
     }
     HMMM_ASSIGN_OR_RETURN(entry.video_begin, r.ReadInt32());
     HMMM_ASSIGN_OR_RETURN(entry.video_end, r.ReadInt32());

@@ -15,11 +15,11 @@ namespace hmmm {
 /// File-format magic for serialized shard maps (sibling of kCatalogMagic
 /// / kModelMagic in storage/model_io.h).
 inline constexpr uint32_t kShardMapMagic = 0x484D4D53;  // "SMMH"
-/// v1: endpoint + range + shot mapping. v2 adds a replica endpoint list
-/// per entry and a map-wide epoch (monotone reload fencing). v1 blobs
-/// still load (no replicas, epoch 0).
+/// The one shard-map format: a map-wide epoch (monotone reload fencing)
+/// and, per entry, endpoint + replica endpoints + range + shot mapping.
+/// Blobs stamped with any other version (the replica-less v1 layout
+/// included) are refused with kDataLoss.
 inline constexpr uint32_t kShardMapVersion = 2;
-inline constexpr uint32_t kShardMapMinVersion = 1;
 
 /// One shard's entry in the serving map: which contiguous global video
 /// range it owns, how its slice-local ShotIds map back to global ones,
@@ -72,12 +72,8 @@ ShardMap ShardMapFromPartition(const std::vector<CatalogShard>& shards,
 
 /// Checksummed binary round-trip (WrapChecksummed envelope, same
 /// corruption guarantees as the catalog/model codecs). Deserialize
-/// validates before returning and accepts any version in
-/// [kShardMapMinVersion, kShardMapVersion]. `version` lets tests (and
-/// tools talking to old coordinators) emit the legacy layout; writing
-/// v1 drops replicas/epoch.
-std::string SerializeShardMap(const ShardMap& map,
-                              uint32_t version = kShardMapVersion);
+/// validates before returning.
+std::string SerializeShardMap(const ShardMap& map);
 StatusOr<ShardMap> DeserializeShardMap(std::string_view data);
 Status SaveShardMap(const ShardMap& map, const std::string& path);
 StatusOr<ShardMap> LoadShardMap(const std::string& path);

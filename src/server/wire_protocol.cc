@@ -53,6 +53,7 @@ void EncodeStats(BinaryWriter& writer, const RetrievalStats& stats) {
   writer.WriteUint8(stats.truncated ? 1 : 0);
   writer.WriteUint8(stats.degraded ? 1 : 0);
   writer.WriteUint64(stats.videos_skipped);
+  writer.WriteUint64(stats.heap_pops);
 }
 
 StatusOr<RetrievalStats> DecodeStats(BinaryReader& reader) {
@@ -70,6 +71,7 @@ StatusOr<RetrievalStats> DecodeStats(BinaryReader& reader) {
   HMMM_ASSIGN_OR_RETURN(const uint8_t degraded, reader.ReadUint8());
   stats.degraded = degraded != 0;
   HMMM_ASSIGN_OR_RETURN(stats.videos_skipped, reader.ReadUint64());
+  HMMM_ASSIGN_OR_RETURN(stats.heap_pops, reader.ReadUint64());
   return stats;
 }
 
@@ -245,12 +247,11 @@ const char* WireErrorName(WireError code) {
   return "unknown";
 }
 
-std::string EncodeFrame(MessageType type, std::string_view payload,
-                        uint16_t version) {
+std::string EncodeFrame(MessageType type, std::string_view payload) {
   BinaryWriter writer;
   writer.WriteUint32(kWireMagic);
-  writer.WriteUint8(static_cast<uint8_t>(version & 0xFF));
-  writer.WriteUint8(static_cast<uint8_t>(version >> 8));
+  writer.WriteUint8(static_cast<uint8_t>(kWireProtocolVersion & 0xFF));
+  writer.WriteUint8(static_cast<uint8_t>(kWireProtocolVersion >> 8));
   const uint16_t tag = static_cast<uint16_t>(type);
   writer.WriteUint8(static_cast<uint8_t>(tag & 0xFF));
   writer.WriteUint8(static_cast<uint8_t>(tag >> 8));
@@ -262,7 +263,7 @@ std::string EncodeFrame(MessageType type, std::string_view payload,
 }
 
 WireError DecodeFrameHeader(std::string_view bytes, uint32_t max_frame_bytes,
-                            FrameHeader* out, uint16_t max_version) {
+                            FrameHeader* out) {
   if (bytes.size() < kFrameHeaderBytes) return WireError::kMalformedPayload;
   BinaryReader reader(bytes.substr(0, kFrameHeaderBytes));
   const uint32_t magic = *reader.ReadUint32();
@@ -274,16 +275,15 @@ WireError DecodeFrameHeader(std::string_view bytes, uint32_t max_frame_bytes,
   const uint32_t payload_bytes = *reader.ReadUint32();
   const uint32_t crc = *reader.ReadUint32();
   // The version check comes after frame-aligning fields so a peer can
-  // still answer kUnsupportedVersion on a well-framed future message.
+  // still answer kUnsupportedVersion on a well-framed frame of another
+  // version.
   if (payload_bytes > max_frame_bytes) return WireError::kFrameTooLarge;
   out->version = version;
   out->type = static_cast<MessageType>(tag);
   out->payload_bytes = payload_bytes;
   out->crc32c = crc;
-  if (version < kWireMinProtocolVersion || version > max_version) {
-    return WireError::kUnsupportedVersion;
-  }
-  return WireError::kNone;
+  return version == kWireProtocolVersion ? WireError::kNone
+                                         : WireError::kUnsupportedVersion;
 }
 
 WireError VerifyFramePayload(const FrameHeader& header,
@@ -297,24 +297,21 @@ WireError VerifyFramePayload(const FrameHeader& header,
   return WireError::kNone;
 }
 
-std::string EncodeTemporalQueryRequest(const TemporalQueryRequest& request,
-                                       uint16_t version) {
+std::string EncodeTemporalQueryRequest(const TemporalQueryRequest& request) {
   BinaryWriter writer;
   writer.WriteString(request.text);
   writer.WriteInt64(request.budget_ms);
   writer.WriteUint64(request.cancel_generation);
   writer.WriteUint8(request.want_stats ? 1 : 0);
   writer.WriteUint8(request.want_trace ? 1 : 0);
-  if (version >= 2) {
-    writer.WriteUint64(request.trace_id_hi);
-    writer.WriteUint64(request.trace_id_lo);
-    writer.WriteUint64(request.parent_span_id);
-  }
+  writer.WriteUint64(request.trace_id_hi);
+  writer.WriteUint64(request.trace_id_lo);
+  writer.WriteUint64(request.parent_span_id);
   return std::move(writer).TakeBuffer();
 }
 
 StatusOr<TemporalQueryRequest> DecodeTemporalQueryRequest(
-    std::string_view payload, uint16_t version) {
+    std::string_view payload) {
   BinaryReader reader(payload);
   TemporalQueryRequest request;
   HMMM_ASSIGN_OR_RETURN(request.text, reader.ReadString());
@@ -324,40 +321,33 @@ StatusOr<TemporalQueryRequest> DecodeTemporalQueryRequest(
   request.want_stats = want_stats != 0;
   HMMM_ASSIGN_OR_RETURN(const uint8_t want_trace, reader.ReadUint8());
   request.want_trace = want_trace != 0;
-  if (version >= 2) {
-    HMMM_ASSIGN_OR_RETURN(request.trace_id_hi, reader.ReadUint64());
-    HMMM_ASSIGN_OR_RETURN(request.trace_id_lo, reader.ReadUint64());
-    HMMM_ASSIGN_OR_RETURN(request.parent_span_id, reader.ReadUint64());
-  }
+  HMMM_ASSIGN_OR_RETURN(request.trace_id_hi, reader.ReadUint64());
+  HMMM_ASSIGN_OR_RETURN(request.trace_id_lo, reader.ReadUint64());
+  HMMM_ASSIGN_OR_RETURN(request.parent_span_id, reader.ReadUint64());
   return request;
 }
 
-std::string EncodeQbeRequest(const QbeRequest& request, uint16_t version) {
+std::string EncodeQbeRequest(const QbeRequest& request) {
   BinaryWriter writer;
   writer.WriteDoubleVector(request.features);
   writer.WriteInt32(request.max_results);
-  if (version >= 2) {
-    writer.WriteUint8(request.want_trace ? 1 : 0);
-    writer.WriteUint64(request.trace_id_hi);
-    writer.WriteUint64(request.trace_id_lo);
-    writer.WriteUint64(request.parent_span_id);
-  }
+  writer.WriteUint8(request.want_trace ? 1 : 0);
+  writer.WriteUint64(request.trace_id_hi);
+  writer.WriteUint64(request.trace_id_lo);
+  writer.WriteUint64(request.parent_span_id);
   return std::move(writer).TakeBuffer();
 }
 
-StatusOr<QbeRequest> DecodeQbeRequest(std::string_view payload,
-                                      uint16_t version) {
+StatusOr<QbeRequest> DecodeQbeRequest(std::string_view payload) {
   BinaryReader reader(payload);
   QbeRequest request;
   HMMM_ASSIGN_OR_RETURN(request.features, reader.ReadDoubleVector());
   HMMM_ASSIGN_OR_RETURN(request.max_results, reader.ReadInt32());
-  if (version >= 2) {
-    HMMM_ASSIGN_OR_RETURN(const uint8_t want_trace, reader.ReadUint8());
-    request.want_trace = want_trace != 0;
-    HMMM_ASSIGN_OR_RETURN(request.trace_id_hi, reader.ReadUint64());
-    HMMM_ASSIGN_OR_RETURN(request.trace_id_lo, reader.ReadUint64());
-    HMMM_ASSIGN_OR_RETURN(request.parent_span_id, reader.ReadUint64());
-  }
+  HMMM_ASSIGN_OR_RETURN(const uint8_t want_trace, reader.ReadUint8());
+  request.want_trace = want_trace != 0;
+  HMMM_ASSIGN_OR_RETURN(request.trace_id_hi, reader.ReadUint64());
+  HMMM_ASSIGN_OR_RETURN(request.trace_id_lo, reader.ReadUint64());
+  HMMM_ASSIGN_OR_RETURN(request.parent_span_id, reader.ReadUint64());
   return request;
 }
 
@@ -375,8 +365,8 @@ StatusOr<MarkPositiveRequest> DecodeMarkPositiveRequest(
   return request;
 }
 
-std::string EncodeTemporalQueryResponse(const TemporalQueryResponse& response,
-                                        uint16_t version) {
+std::string EncodeTemporalQueryResponse(
+    const TemporalQueryResponse& response) {
   BinaryWriter writer;
   writer.WriteVarint(response.results.size());
   for (const RetrievedPattern& pattern : response.results) {
@@ -386,13 +376,12 @@ std::string EncodeTemporalQueryResponse(const TemporalQueryResponse& response,
   writer.WriteUint64(response.videos_skipped);
   writer.WriteUint8(response.has_stats ? 1 : 0);
   if (response.has_stats) EncodeStats(writer, response.stats);
-  writer.WriteString(response.trace_jsonl);
-  if (version >= 2) writer.WriteString(response.trace_blob);
+  writer.WriteString(response.trace_blob);
   return std::move(writer).TakeBuffer();
 }
 
 StatusOr<TemporalQueryResponse> DecodeTemporalQueryResponse(
-    std::string_view payload, uint16_t version) {
+    std::string_view payload) {
   BinaryReader reader(payload);
   TemporalQueryResponse response;
   HMMM_ASSIGN_OR_RETURN(const uint64_t count, reader.ReadVarint());
@@ -411,27 +400,22 @@ StatusOr<TemporalQueryResponse> DecodeTemporalQueryResponse(
   if (response.has_stats) {
     HMMM_ASSIGN_OR_RETURN(response.stats, DecodeStats(reader));
   }
-  HMMM_ASSIGN_OR_RETURN(response.trace_jsonl, reader.ReadString());
-  if (version >= 2) {
-    HMMM_ASSIGN_OR_RETURN(response.trace_blob, reader.ReadString());
-  }
+  HMMM_ASSIGN_OR_RETURN(response.trace_blob, reader.ReadString());
   return response;
 }
 
-std::string EncodeQbeResponse(const QbeResponse& response,
-                              uint16_t version) {
+std::string EncodeQbeResponse(const QbeResponse& response) {
   BinaryWriter writer;
   writer.WriteVarint(response.results.size());
   for (const QbeResult& result : response.results) {
     writer.WriteInt32(result.shot);
     writer.WriteDouble(result.similarity);
   }
-  if (version >= 2) writer.WriteString(response.trace_blob);
+  writer.WriteString(response.trace_blob);
   return std::move(writer).TakeBuffer();
 }
 
-StatusOr<QbeResponse> DecodeQbeResponse(std::string_view payload,
-                                        uint16_t version) {
+StatusOr<QbeResponse> DecodeQbeResponse(std::string_view payload) {
   BinaryReader reader(payload);
   QbeResponse response;
   HMMM_ASSIGN_OR_RETURN(const uint64_t count, reader.ReadVarint());
@@ -443,9 +427,7 @@ StatusOr<QbeResponse> DecodeQbeResponse(std::string_view payload,
     HMMM_ASSIGN_OR_RETURN(result.similarity, reader.ReadDouble());
     response.results.push_back(result);
   }
-  if (version >= 2) {
-    HMMM_ASSIGN_OR_RETURN(response.trace_blob, reader.ReadString());
-  }
+  HMMM_ASSIGN_OR_RETURN(response.trace_blob, reader.ReadString());
   return response;
 }
 
@@ -463,48 +445,38 @@ StatusOr<MarkPositiveResponse> DecodeMarkPositiveResponse(
   return response;
 }
 
-std::string EncodeTrainResponse(const TrainResponse& response,
-                                uint16_t version) {
+std::string EncodeTrainResponse(const TrainResponse& response) {
   BinaryWriter writer;
   writer.WriteUint8(response.trained ? 1 : 0);
   writer.WriteUint64(response.training_rounds);
-  if (version >= 3) {
-    writer.WriteUint32(response.shards_attempted);
-    writer.WriteUint32(response.shards_failed);
-  }
+  writer.WriteUint32(response.shards_attempted);
+  writer.WriteUint32(response.shards_failed);
   return std::move(writer).TakeBuffer();
 }
 
-StatusOr<TrainResponse> DecodeTrainResponse(std::string_view payload,
-                                            uint16_t version) {
+StatusOr<TrainResponse> DecodeTrainResponse(std::string_view payload) {
   BinaryReader reader(payload);
   TrainResponse response;
   HMMM_ASSIGN_OR_RETURN(const uint8_t trained, reader.ReadUint8());
   response.trained = trained != 0;
   HMMM_ASSIGN_OR_RETURN(response.training_rounds, reader.ReadUint64());
-  if (version >= 3) {
-    HMMM_ASSIGN_OR_RETURN(response.shards_attempted, reader.ReadUint32());
-    HMMM_ASSIGN_OR_RETURN(response.shards_failed, reader.ReadUint32());
-  }
+  HMMM_ASSIGN_OR_RETURN(response.shards_attempted, reader.ReadUint32());
+  HMMM_ASSIGN_OR_RETURN(response.shards_failed, reader.ReadUint32());
   return response;
 }
 
-std::string EncodeMetricsResponse(const MetricsResponse& response,
-                                  uint16_t version) {
+std::string EncodeMetricsResponse(const MetricsResponse& response) {
   BinaryWriter writer;
   writer.WriteString(response.prometheus_text);
-  if (version >= 2) writer.WriteString(response.json_snapshot);
+  writer.WriteString(response.snapshot);
   return std::move(writer).TakeBuffer();
 }
 
-StatusOr<MetricsResponse> DecodeMetricsResponse(std::string_view payload,
-                                                uint16_t version) {
+StatusOr<MetricsResponse> DecodeMetricsResponse(std::string_view payload) {
   BinaryReader reader(payload);
   MetricsResponse response;
   HMMM_ASSIGN_OR_RETURN(response.prometheus_text, reader.ReadString());
-  if (version >= 2) {
-    HMMM_ASSIGN_OR_RETURN(response.json_snapshot, reader.ReadString());
-  }
+  HMMM_ASSIGN_OR_RETURN(response.snapshot, reader.ReadString());
   return response;
 }
 

@@ -12,48 +12,39 @@
 
 namespace hmmm {
 
-// The HMMM query wire protocol: versioned, length-prefixed binary frames
-// over TCP. Every message — request, response or typed error — is one
-// frame:
+// The HMMM query wire protocol: length-prefixed binary frames over TCP.
+// Every message — request, response or typed error — is one frame:
 //
 //   offset  size  field
 //   0       4     magic 0x484D4D51 ("QMMH" in memory, little-endian)
-//   4       2     protocol version (1 or 2)
+//   4       2     protocol version (kWireProtocolVersion)
 //   6       2     message type (MessageType)
 //   8       4     payload size in bytes
 //   12      4     CRC-32C of the payload
 //   16      ...   payload (BinaryWriter encoding, little-endian)
 //
-// Versioning rules: the 16-byte header layout is frozen across all
-// versions, so any peer can always frame-align and answer a version it
-// does not speak with a typed kUnsupportedVersion error. Payload schemas
-// may only change with a version bump; within one version fields are
-// append-only.
+// Versioning rules: every binary (server, coordinator, client) speaks
+// exactly one schema, kWireProtocolVersion. The 16-byte header layout is
+// frozen, so a peer can always frame-align a frame stamped with any other
+// version and answer it with a typed kUnsupportedVersion error (then
+// close the connection). Any payload change bumps the version, and a bump
+// moves every binary together.
 //
 // Version history:
-//   v1  initial protocol (PR 5).
-//   v2  distributed tracing: TemporalQuery/Qbe requests append a trace
-//       context (128-bit trace id, parent span id; the existing
-//       want_trace bit doubles as the sampling flag), their responses
-//       append a serialized sub-trace blob, MetricsResponse appends a
-//       machine-readable registry snapshot, and the DumpSlowQueries
-//       message pair is added. A v2 speaker answers each request in the
-//       request frame's version, so v1 clients get byte-identical v1
-//       service; a client that receives kUnsupportedVersion for its v2
-//       frame downgrades the connection to v1 and retries.
-//   v3  replication control plane: the ReloadShardMap message pair is
-//       added (request carries a serialized SMMH shard-map blob, the
-//       response echoes the applied map epoch), and TrainResponse
-//       appends per-shard broadcast accounting (shards_attempted /
-//       shards_failed) so a coordinator fan-out can report partial
-//       training failures instead of masking them.
+//   v1  initial protocol.
+//   v2  distributed tracing: trace context on TemporalQuery/Qbe
+//       requests, serialized sub-trace blobs on their responses, a
+//       registry snapshot on MetricsResponse, DumpSlowQueries.
+//   v3  replication control plane: ReloadShardMap, per-shard broadcast
+//       accounting on TrainResponse.
+//   v4  one schema: TemporalQueryResponse drops the JSONL trace (the
+//       blob is the only trace; render it with RenderSpansJsonl), the
+//       wire RetrievalStats appends heap_pops, and MetricsResponse
+//       carries a binary registry snapshot (MetricsRegistry::
+//       EncodeSnapshot) instead of JSON.
 
 inline constexpr uint32_t kWireMagic = 0x484D4D51u;
-inline constexpr uint16_t kWireProtocolVersion = 3;
-/// Oldest version this build still speaks. Frames inside
-/// [kWireMinProtocolVersion, kWireProtocolVersion] are served; anything
-/// else gets a typed kUnsupportedVersion answer.
-inline constexpr uint16_t kWireMinProtocolVersion = 1;
+inline constexpr uint16_t kWireProtocolVersion = 4;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Default per-connection frame cap (requests and responses). A header
 /// announcing more than the cap is treated as corruption.
@@ -68,16 +59,16 @@ enum class MessageType : uint16_t {
   kMarkPositiveRequest = 4,
   kTrainRequest = 5,
   kMetricsRequest = 6,
-  kDumpSlowQueriesRequest = 7,  // v2+
-  kReloadShardMapRequest = 8,   // v3+
+  kDumpSlowQueriesRequest = 7,
+  kReloadShardMapRequest = 8,
   kHealthResponse = 129,
   kTemporalQueryResponse = 130,
   kQbeResponse = 131,
   kMarkPositiveResponse = 132,
   kTrainResponse = 133,
   kMetricsResponse = 134,
-  kDumpSlowQueriesResponse = 135,  // v2+
-  kReloadShardMapResponse = 136,   // v3+
+  kDumpSlowQueriesResponse = 135,
+  kReloadShardMapResponse = 136,
   kErrorResponse = 255,
 };
 
@@ -130,20 +121,17 @@ struct FrameHeader {
   uint32_t crc32c = 0;
 };
 
-/// One ready-to-send frame: header + payload. `version` is the protocol
-/// version stamped into the header — encode the payload with the same
-/// version.
-std::string EncodeFrame(MessageType type, std::string_view payload,
-                        uint16_t version = kWireProtocolVersion);
+/// One ready-to-send frame: header (stamped kWireProtocolVersion) +
+/// payload.
+std::string EncodeFrame(MessageType type, std::string_view payload);
 
 /// Validates the fixed 16-byte prefix (magic, version, length bound).
 /// Returns kNone and fills `out` on success. `bytes` must hold at least
-/// kFrameHeaderBytes. Versions in [kWireMinProtocolVersion, max_version]
-/// pass; others return kUnsupportedVersion after filling `out`, so the
-/// caller can still skip the well-framed payload and answer typed.
+/// kFrameHeaderBytes. Any version other than kWireProtocolVersion returns
+/// kUnsupportedVersion after filling `out`, so the caller can still
+/// answer typed.
 WireError DecodeFrameHeader(std::string_view bytes, uint32_t max_frame_bytes,
-                            FrameHeader* out,
-                            uint16_t max_version = kWireProtocolVersion);
+                            FrameHeader* out);
 
 /// CRC check of a received payload against its header.
 WireError VerifyFramePayload(const FrameHeader& header,
@@ -164,30 +152,30 @@ struct TemporalQueryRequest {
   uint64_t cancel_generation = 0;
   bool want_stats = false;
   /// Ask the server to record and return a QueryTrace. Doubles as the
-  /// trace-context sampling flag in v2: a sampled hop propagates it
-  /// downstream together with the trace id.
+  /// trace-context sampling flag: a sampled hop propagates it downstream
+  /// together with the trace id.
   bool want_trace = false;
-  /// v2 trace context (ignored by v1 peers; see trace_codec.h). Zero
-  /// trace id = unset; a traced server mints one.
-  uint64_t trace_id_hi = 0;   // v2+
-  uint64_t trace_id_lo = 0;   // v2+
-  uint64_t parent_span_id = 0;  // v2+
+  /// Trace context (see trace_codec.h). Zero trace id = unset; a traced
+  /// server mints one.
+  uint64_t trace_id_hi = 0;
+  uint64_t trace_id_lo = 0;
+  uint64_t parent_span_id = 0;
 };
 
 struct QbeRequest {
   std::vector<double> features;
   int32_t max_results = 20;
-  bool want_trace = false;      // v2+
-  uint64_t trace_id_hi = 0;     // v2+
-  uint64_t trace_id_lo = 0;     // v2+
-  uint64_t parent_span_id = 0;  // v2+
+  bool want_trace = false;
+  uint64_t trace_id_hi = 0;
+  uint64_t trace_id_lo = 0;
+  uint64_t parent_span_id = 0;
 };
 
 struct MarkPositiveRequest {
   RetrievedPattern pattern;
 };
 
-/// ReloadShardMap (v3+): hot-swaps a coordinator's shard map. The blob
+/// ReloadShardMap: hot-swaps a coordinator's shard map. The blob
 /// is a complete serialized SMMH map (SerializeShardMap output); the
 /// receiver validates it and rejects the swap unless the new epoch is
 /// strictly greater than the epoch it is serving.
@@ -204,18 +192,18 @@ struct TemporalQueryResponse {
   bool degraded = false;
   uint64_t videos_skipped = 0;
   bool has_stats = false;
+  /// Every RetrievalStats counter except grid_cells_skipped (always
+  /// states_visited - heap_pops), which stays 0 on the wire.
   RetrievalStats stats;
-  /// QueryTrace::RenderJsonl of the serving traversal; empty when the
-  /// request did not ask for a trace.
-  std::string trace_jsonl;
-  /// v2: SerializeSpans() of the same trace — the machine-readable
-  /// sub-trace a coordinator grafts into its cross-process tree.
-  std::string trace_blob;  // v2+
+  /// SerializeSpans() of the serving trace — the sub-trace a coordinator
+  /// grafts into its cross-process tree; RenderSpansJsonl turns it into
+  /// JSONL. Empty when the request did not ask for a trace.
+  std::string trace_blob;
 };
 
 struct QbeResponse {
   std::vector<QbeResult> results;
-  std::string trace_blob;  // v2+
+  std::string trace_blob;
 };
 
 struct MarkPositiveResponse {
@@ -225,27 +213,27 @@ struct MarkPositiveResponse {
 struct TrainResponse {
   bool trained = false;
   uint64_t training_rounds = 0;
-  /// v3: per-shard broadcast accounting from a coordinator fan-out.
-  /// Standalone servers report 1/0 (or 1/1 on failure — but a failed
-  /// standalone Train is an error frame, so in practice 1/0).
-  uint32_t shards_attempted = 1;  // v3+
-  uint32_t shards_failed = 0;     // v3+
+  /// Per-shard broadcast accounting from a coordinator fan-out.
+  /// Standalone servers report 1/0 (a failed standalone Train is an
+  /// error frame).
+  uint32_t shards_attempted = 1;
+  uint32_t shards_failed = 0;
 };
 
 struct MetricsResponse {
   std::string prometheus_text;
-  /// v2: MetricsRegistry::SnapshotJson() of the same registry, so a
+  /// MetricsRegistry::EncodeSnapshot() of the same registry, so a
   /// coordinator can merge shard metrics instead of scraping text.
-  std::string json_snapshot;  // v2+
+  std::string snapshot;
 };
 
-/// DumpSlowQueries (v2+): request payload is empty; the response carries
+/// DumpSlowQueries: request payload is empty; the response carries
 /// the server's SlowQueryLog::DumpJsonl(), oldest entry first.
 struct DumpSlowQueriesResponse {
   std::string jsonl;
 };
 
-/// ReloadShardMap (v3+) success answer: the epoch now being served.
+/// ReloadShardMap success answer: the epoch now being served.
 struct ReloadShardMapResponse {
   uint64_t epoch = 0;
   uint32_t num_shards = 0;
@@ -270,20 +258,13 @@ struct ErrorResponse {
 // Encode* returns the payload bytes (frame them with EncodeFrame);
 // Decode* returns kDataLoss/kInvalidArgument on truncated or
 // out-of-range input — the server answers those with kMalformedPayload.
-// Codecs whose schema changed in v2 take the frame's protocol version:
-// encoding at v1 stops before the v2 fields, decoding at v1 leaves them
-// defaulted.
 
-std::string EncodeTemporalQueryRequest(
-    const TemporalQueryRequest& request,
-    uint16_t version = kWireProtocolVersion);
+std::string EncodeTemporalQueryRequest(const TemporalQueryRequest& request);
 StatusOr<TemporalQueryRequest> DecodeTemporalQueryRequest(
-    std::string_view payload, uint16_t version = kWireProtocolVersion);
+    std::string_view payload);
 
-std::string EncodeQbeRequest(const QbeRequest& request,
-                             uint16_t version = kWireProtocolVersion);
-StatusOr<QbeRequest> DecodeQbeRequest(
-    std::string_view payload, uint16_t version = kWireProtocolVersion);
+std::string EncodeQbeRequest(const QbeRequest& request);
+StatusOr<QbeRequest> DecodeQbeRequest(std::string_view payload);
 
 std::string EncodeMarkPositiveRequest(const MarkPositiveRequest& request);
 StatusOr<MarkPositiveRequest> DecodeMarkPositiveRequest(
@@ -293,30 +274,22 @@ std::string EncodeReloadShardMapRequest(const ReloadShardMapRequest& request);
 StatusOr<ReloadShardMapRequest> DecodeReloadShardMapRequest(
     std::string_view payload);
 
-std::string EncodeTemporalQueryResponse(
-    const TemporalQueryResponse& response,
-    uint16_t version = kWireProtocolVersion);
+std::string EncodeTemporalQueryResponse(const TemporalQueryResponse& response);
 StatusOr<TemporalQueryResponse> DecodeTemporalQueryResponse(
-    std::string_view payload, uint16_t version = kWireProtocolVersion);
+    std::string_view payload);
 
-std::string EncodeQbeResponse(const QbeResponse& response,
-                              uint16_t version = kWireProtocolVersion);
-StatusOr<QbeResponse> DecodeQbeResponse(
-    std::string_view payload, uint16_t version = kWireProtocolVersion);
+std::string EncodeQbeResponse(const QbeResponse& response);
+StatusOr<QbeResponse> DecodeQbeResponse(std::string_view payload);
 
 std::string EncodeMarkPositiveResponse(const MarkPositiveResponse& response);
 StatusOr<MarkPositiveResponse> DecodeMarkPositiveResponse(
     std::string_view payload);
 
-std::string EncodeTrainResponse(const TrainResponse& response,
-                                uint16_t version = kWireProtocolVersion);
-StatusOr<TrainResponse> DecodeTrainResponse(
-    std::string_view payload, uint16_t version = kWireProtocolVersion);
+std::string EncodeTrainResponse(const TrainResponse& response);
+StatusOr<TrainResponse> DecodeTrainResponse(std::string_view payload);
 
-std::string EncodeMetricsResponse(const MetricsResponse& response,
-                                  uint16_t version = kWireProtocolVersion);
-StatusOr<MetricsResponse> DecodeMetricsResponse(
-    std::string_view payload, uint16_t version = kWireProtocolVersion);
+std::string EncodeMetricsResponse(const MetricsResponse& response);
+StatusOr<MetricsResponse> DecodeMetricsResponse(std::string_view payload);
 
 std::string EncodeDumpSlowQueriesResponse(
     const DumpSlowQueriesResponse& response);

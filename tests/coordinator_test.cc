@@ -373,6 +373,8 @@ TEST(CoordinatorTest, StatsAggregateAcrossShards) {
             reference_stats.videos_considered);
   EXPECT_EQ(response->stats.candidates_scored,
             reference_stats.candidates_scored);
+  EXPECT_GT(response->stats.heap_pops, 0u);
+  EXPECT_EQ(response->stats.heap_pops, reference_stats.heap_pops);
 }
 
 TEST(CoordinatorTest, MarkPositiveRoutesToOwningShard) {

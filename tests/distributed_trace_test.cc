@@ -1,13 +1,14 @@
 // End-to-end distributed tracing over the loopback: cross-process trace
-// assembly through a real coordinator fan-out, mixed wire-version
-// compatibility (v1 client vs v2 server and the reverse), and the
-// slow-query plane through the wire.
+// assembly through a real coordinator fan-out, the slow-query plane
+// through the wire, and fleet metrics merged by the coordinator.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +42,9 @@ struct Deployment {
   }
 };
 
-std::unique_ptr<Deployment> MakeDeployment(int num_shards) {
+/// `replicas` servers per shard range; shard_dbs/servers hold replica r
+/// of shard s at index r * num_shards + s.
+std::unique_ptr<Deployment> MakeDeployment(int num_shards, int replicas = 1) {
   auto deployment = std::make_unique<Deployment>();
   StatusOr<VideoDatabase> global =
       VideoDatabase::Create(GeneratedSoccerCatalog(3, 8));
@@ -49,26 +52,36 @@ std::unique_ptr<Deployment> MakeDeployment(int num_shards) {
   deployment->global =
       std::make_unique<VideoDatabase>(std::move(global).value());
 
-  StatusOr<std::vector<CatalogShard>> shards = PartitionForServing(
-      deployment->global->catalog(), deployment->global->model(), num_shards);
-  HMMM_CHECK(shards.ok());
-  deployment->map =
-      ShardMapFromPartition(*shards, deployment->global->catalog());
-  for (size_t s = 0; s < shards->size(); ++s) {
-    CatalogShard& shard = (*shards)[s];
-    StatusOr<VideoDatabase> db = VideoDatabase::CreateWithModel(
-        std::move(shard.catalog), std::move(shard.model));
-    HMMM_CHECK(db.ok());
-    deployment->shard_dbs.push_back(
-        std::make_unique<VideoDatabase>(std::move(db).value()));
-    QueryServerOptions options;
-    options.port = 0;
-    auto server = std::make_unique<QueryServer>(
-        deployment->shard_dbs.back().get(), options);
-    HMMM_CHECK(server->Start().ok());
-    deployment->map.shards[s].endpoint =
-        "127.0.0.1:" + std::to_string(server->port());
-    deployment->servers.push_back(std::move(server));
+  for (int r = 0; r < replicas; ++r) {
+    StatusOr<std::vector<CatalogShard>> shards =
+        PartitionForServing(deployment->global->catalog(),
+                            deployment->global->model(), num_shards);
+    HMMM_CHECK(shards.ok());
+    if (r == 0) {
+      deployment->map =
+          ShardMapFromPartition(*shards, deployment->global->catalog());
+    }
+    for (size_t s = 0; s < shards->size(); ++s) {
+      CatalogShard& shard = (*shards)[s];
+      StatusOr<VideoDatabase> db = VideoDatabase::CreateWithModel(
+          std::move(shard.catalog), std::move(shard.model));
+      HMMM_CHECK(db.ok());
+      deployment->shard_dbs.push_back(
+          std::make_unique<VideoDatabase>(std::move(db).value()));
+      QueryServerOptions options;
+      options.port = 0;
+      auto server = std::make_unique<QueryServer>(
+          deployment->shard_dbs.back().get(), options);
+      HMMM_CHECK(server->Start().ok());
+      const std::string endpoint =
+          "127.0.0.1:" + std::to_string(server->port());
+      if (r == 0) {
+        deployment->map.shards[s].endpoint = endpoint;
+      } else {
+        deployment->map.shards[s].replica_endpoints.push_back(endpoint);
+      }
+      deployment->servers.push_back(std::move(server));
+    }
   }
   return deployment;
 }
@@ -261,70 +274,6 @@ TEST(DistributedTraceTest, RankingsByteIdenticalWithTracingOnAndOff) {
   }
 }
 
-// -- Mixed wire versions --------------------------------------------------
-
-TEST(MixedVersionTest, V1ClientGetsUntracedServiceFromV2Server) {
-  auto db = VideoDatabase::Create(GeneratedSoccerCatalog());
-  ASSERT_TRUE(db.ok());
-  QueryServer server(&db.value());
-  ASSERT_TRUE(server.Start().ok());
-
-  const auto reference = db->Query("free_kick ; goal");
-  ASSERT_TRUE(reference.ok());
-
-  QueryClientOptions options;
-  options.port = server.port();
-  options.protocol_version = 1;  // emulate an old client
-  QueryClient client(options);
-
-  TemporalQueryRequest request;
-  request.text = "free_kick ; goal";
-  request.want_trace = true;
-  StatusOr<TemporalQueryResponse> response = client.TemporalQuery(request);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ExpectSameRanking(response->results, *reference);
-  // v1 responses carry the legacy JSONL rendering but no v2 span blob.
-  EXPECT_FALSE(response->trace_jsonl.empty());
-  EXPECT_TRUE(response->trace_blob.empty());
-  EXPECT_EQ(client.peer_version(), 1u);
-  EXPECT_EQ(client.retries_performed(), 0u);
-}
-
-TEST(MixedVersionTest, V2ClientDowngradesAgainstV1Server) {
-  auto db = VideoDatabase::Create(GeneratedSoccerCatalog());
-  ASSERT_TRUE(db.ok());
-  QueryServerOptions server_options;
-  server_options.protocol_version = 1;  // emulate an old server
-  QueryServer server(&db.value(), server_options);
-  ASSERT_TRUE(server.Start().ok());
-
-  const auto reference = db->Query("corner_kick ; goal");
-  ASSERT_TRUE(reference.ok());
-
-  QueryClientOptions options;
-  options.port = server.port();
-  QueryClient client(options);
-  EXPECT_EQ(client.peer_version(), kWireProtocolVersion);
-
-  TemporalQueryRequest request;
-  request.text = "corner_kick ; goal";
-  request.want_trace = true;
-  StatusOr<TemporalQueryResponse> response = client.TemporalQuery(request);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ExpectSameRanking(response->results, *reference);
-  EXPECT_FALSE(response->trace_jsonl.empty());
-  EXPECT_TRUE(response->trace_blob.empty());
-  // The typed kUnsupportedVersion answer downgraded the client to the
-  // floor version, sticky for its lifetime, costing exactly one retry.
-  EXPECT_EQ(client.peer_version(), 1u);
-  EXPECT_EQ(client.retries_performed(), 1u);
-
-  // Subsequent calls speak v1 directly — no further downgrade dance.
-  StatusOr<TemporalQueryResponse> again = client.TemporalQuery(request);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(client.retries_performed(), 1u);
-}
-
 // -- Slow-query plane over the wire ---------------------------------------
 
 TEST(SlowQueryWireTest, DumpSlowQueriesRoundTripsThroughTheServer) {
@@ -381,7 +330,6 @@ TEST(SamplingTest, AlwaysOnSamplerTracesUnrequestedQueries) {
   // Head-sampled but not requested: the caller gets no trace bytes, yet
   // the tail sink (slow-query log) captured the minted trace id.
   EXPECT_TRUE(response->trace_blob.empty());
-  EXPECT_TRUE(response->trace_jsonl.empty());
   const std::string jsonl = service.slow_query_log().DumpJsonl();
   ASSERT_NE(jsonl.find("\"trace_id\":\""), std::string::npos);
   EXPECT_EQ(jsonl.find("\"trace_id\":\"\""), std::string::npos) << jsonl;
@@ -464,12 +412,104 @@ TEST(FleetMetricsTest, CoordinatorExpositionCarriesShardLabeledSeries) {
         << "missing series " << series << "\n"
         << metrics->prometheus_text;
   }
-  // json_snapshot stays coordinator-local: loadable, and free of the
-  // shards' server-side families.
+  // The binary snapshot stays coordinator-local: it merges cleanly, and
+  // carries none of the shards' server-side families.
   MetricsRegistry probe;
-  EXPECT_TRUE(probe.LoadSnapshotJson(metrics->json_snapshot).ok());
-  EXPECT_EQ(metrics->json_snapshot.find("hmmm_server_connections_total"),
-            std::string::npos);
+  ASSERT_TRUE(probe.MergeSnapshot(metrics->snapshot).ok());
+  const std::string own = probe.RenderPrometheus();
+  EXPECT_NE(own.find("hmmm_coordinator_fanouts_total"), std::string::npos);
+  EXPECT_EQ(own.find("hmmm_server_connections_total"), std::string::npos);
+}
+
+/// The sample lines (no HELP/TYPE) of a Prometheus exposition.
+std::set<std::string> SampleLines(const std::string& text) {
+  std::set<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') lines.insert(line);
+  }
+  return lines;
+}
+
+TEST(FleetMetricsTest, FleetExpositionMatchesEveryReplicaRegistry) {
+  constexpr int kShards = 2;
+  constexpr int kReplicas = 2;
+  std::unique_ptr<Deployment> deployment = MakeDeployment(kShards, kReplicas);
+  CoordinatorOptions options;
+  options.health_probe_interval = std::chrono::milliseconds(0);
+  StatusOr<std::unique_ptr<CoordinatorService>> coordinator =
+      CoordinatorService::Create(deployment->map, options);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+
+  // Give every replica distinct values: queries fill the query counters,
+  // cache counters and the latency histogram (buckets, sum, count), and a
+  // labeled counter carries a value that needs escaping.
+  for (int r = 0; r < kReplicas; ++r) {
+    for (int s = 0; s < kShards; ++s) {
+      VideoDatabase& db = *deployment->shard_dbs[r * kShards + s];
+      for (int q = 0; q <= r + s; ++q) {
+        ASSERT_TRUE(db.Query(q % 2 == 0 ? "free_kick ; goal" : "goal").ok());
+      }
+      db.metrics_registry()
+          .GetCounter("hmmm_test_escaped_total",
+                      {{"path", "a\\b \"c\"\nd"}}, "label escaping")
+          ->Increment(static_cast<uint64_t>(10 * r + s + 1));
+      db.metrics_registry()
+          .GetGauge("hmmm_test_ratio", "a fractional gauge")
+          ->Set(0.25 * (r + 1) + s);
+    }
+  }
+
+  StatusOr<MetricsResponse> metrics = (*coordinator)->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const std::set<std::string> fleet = SampleLines(metrics->prometheus_text);
+
+  // hmmm_server_* families move while they are scraped (the scrape is a
+  // request), so they are checked for presence only; every other shard
+  // series must match its own registry line for line.
+  const auto moves_when_scraped = [](const std::string& line) {
+    return line.rfind("hmmm_server_", 0) == 0;
+  };
+  for (int r = 0; r < kReplicas; ++r) {
+    for (int s = 0; s < kShards; ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s) + " replica " +
+                   std::to_string(r));
+      const std::string labels = "shard=\"" + std::to_string(s) +
+                                 "\",replica=\"" + std::to_string(r) + "\"";
+      const std::set<std::string> own = SampleLines(
+          deployment->shard_dbs[r * kShards + s]
+              ->metrics_registry()
+              .RenderPrometheus({{"shard", std::to_string(s)},
+                                 {"replica", std::to_string(r)}}));
+      std::set<std::string> expected;
+      for (const std::string& line : own) {
+        if (!moves_when_scraped(line)) expected.insert(line);
+      }
+      std::set<std::string> actual;
+      for (const std::string& line : fleet) {
+        if (line.find(labels) != std::string::npos &&
+            line.rfind("hmmm_coordinator_", 0) != 0 &&
+            !moves_when_scraped(line)) {
+          actual.insert(line);
+        }
+      }
+      // At least the latency histogram's 16 lines plus the counters.
+      EXPECT_GT(expected.size(), 20u);
+      EXPECT_EQ(actual, expected);
+      for (const std::string& needle :
+           {"hmmm_queries_total{" + labels + "}",
+            "hmmm_query_latency_ms_bucket{" + labels + ",le=\"+Inf\"}",
+            "hmmm_query_latency_ms_sum{" + labels + "}",
+            "hmmm_query_latency_ms_count{" + labels + "}",
+            "hmmm_test_ratio{" + labels + "}",
+            "hmmm_test_escaped_total{path=\"a\\\\b \\\"c\\\"\\nd\"," +
+                labels + "}",
+            "hmmm_server_connections_total{" + labels + "}"}) {
+        EXPECT_NE(metrics->prometheus_text.find(needle), std::string::npos)
+            << "missing " << needle;
+      }
+    }
+  }
 }
 
 }  // namespace

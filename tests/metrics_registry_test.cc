@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "common/serialization.h"
 
 namespace hmmm {
 namespace {
@@ -245,11 +250,14 @@ MetricsRegistry* PopulatedRegistry(MetricsRegistry* registry) {
 TEST(MetricsSnapshotTest, SnapshotJsonRoundTripsExactly) {
   MetricsRegistry source;
   PopulatedRegistry(&source);
+  // Raw doubles travel bit-exact, including ones %.9g would round.
+  source.GetGauge("ratio", "")->Set(0.1 + 0.2);
   MetricsRegistry loaded;
-  const Status status = loaded.LoadSnapshotJson(source.SnapshotJson());
+  const Status status = loaded.MergeSnapshot(source.EncodeSnapshot());
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(loaded.RenderPrometheus(), source.RenderPrometheus());
-  EXPECT_EQ(loaded.SnapshotJson(), source.SnapshotJson());
+  EXPECT_EQ(loaded.EncodeSnapshot(), source.EncodeSnapshot());
+  EXPECT_EQ(loaded.GetGauge("ratio", "")->value(), 0.1 + 0.2);
 }
 
 TEST(MetricsSnapshotTest, LoadWithExtraLabelsTagsEverySeries) {
@@ -259,7 +267,7 @@ TEST(MetricsSnapshotTest, LoadWithExtraLabelsTagsEverySeries) {
   PopulatedRegistry(&source);
   MetricsRegistry fleet;
   ASSERT_TRUE(
-      fleet.LoadSnapshotJson(source.SnapshotJson(), {{"shard", "2"}}).ok());
+      fleet.MergeSnapshot(source.EncodeSnapshot(), {{"shard", "2"}}).ok());
   const std::string text = fleet.RenderPrometheus();
   EXPECT_NE(text.find("requests_total{shard=\"2\"} 3"), std::string::npos);
   EXPECT_NE(text.find("depth{shard=\"2\"} 2.5"), std::string::npos);
@@ -270,31 +278,155 @@ TEST(MetricsSnapshotTest, LoadWithExtraLabelsTagsEverySeries) {
   EXPECT_NE(text.find("verb=\"get\""), std::string::npos);
   // No unlabeled series leaked through.
   EXPECT_EQ(text.find("requests_total 3"), std::string::npos);
+  // Merging with extra labels renders exactly what the source renders
+  // with the same labels as const labels.
+  EXPECT_EQ(text, source.RenderPrometheus({{"shard", "2"}}));
 }
 
 TEST(MetricsSnapshotTest, RepeatedLoadsAddCountersAndOverwriteGauges) {
   MetricsRegistry source;
   PopulatedRegistry(&source);
-  const std::string snapshot = source.SnapshotJson();
+  const std::string snapshot = source.EncodeSnapshot();
   MetricsRegistry dest;
-  ASSERT_TRUE(dest.LoadSnapshotJson(snapshot).ok());
-  ASSERT_TRUE(dest.LoadSnapshotJson(snapshot).ok());
+  ASSERT_TRUE(dest.MergeSnapshot(snapshot).ok());
+  ASSERT_TRUE(dest.MergeSnapshot(snapshot).ok());
   EXPECT_EQ(dest.GetCounter("requests_total")->value(), 6u);
   EXPECT_DOUBLE_EQ(dest.GetGauge("depth")->value(), 2.5);
   EXPECT_EQ(dest.GetHistogram("lat", {1.0, 10.0})->count(), 4u);
 }
 
-TEST(MetricsSnapshotTest, MalformedSnapshotIsRejected) {
-  MetricsRegistry registry;
-  for (const char* bad :
-       {"", "not json", "{\"v\":99,\"metrics\":[]}", "{\"v\":1}",
-        "{\"v\":1,\"metrics\":[{\"kind\":\"counter\"}]}"}) {
-    const Status status = registry.LoadSnapshotJson(bad);
-    EXPECT_FALSE(status.ok()) << "accepted: " << bad;
-    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << bad;
+// Hand-built snapshots for the malformed-input corpus. The layout is
+// EncodeSnapshot's: varint series count, then per series kind (0 counter,
+// 1 gauge, 2 histogram), name, labels, help and the kind's values.
+void WriteSeriesHead(BinaryWriter& writer, uint8_t kind,
+                     const std::string& name, const MetricLabels& labels) {
+  writer.WriteUint8(kind);
+  writer.WriteString(name);
+  writer.WriteVarint(labels.size());
+  for (const auto& [label_name, label_value] : labels) {
+    writer.WriteString(label_name);
+    writer.WriteString(label_value);
   }
-  // These all fail before the first metric applies, so nothing sticks.
+  writer.WriteString("help");
+}
+
+std::string HistogramSnapshot(const std::vector<double>& bounds,
+                              uint64_t num_buckets) {
+  BinaryWriter writer;
+  writer.WriteVarint(1);
+  WriteSeriesHead(writer, 2, "lat", {});
+  writer.WriteDoubleVector(bounds);
+  writer.WriteVarint(num_buckets);
+  for (uint64_t i = 0; i < num_buckets; ++i) writer.WriteUint64(1);
+  writer.WriteDouble(1.5);
+  return std::move(writer).TakeBuffer();
+}
+
+std::string CounterSnapshot(const std::string& name,
+                            const MetricLabels& labels) {
+  BinaryWriter writer;
+  writer.WriteVarint(1);
+  WriteSeriesHead(writer, 0, name, labels);
+  writer.WriteUint64(7);
+  return std::move(writer).TakeBuffer();
+}
+
+TEST(MetricsSnapshotTest, MalformedSnapshotIsRejected) {
+  // Sanity: the hand-built encodings are well formed.
+  {
+    MetricsRegistry registry;
+    ASSERT_TRUE(registry.MergeSnapshot(CounterSnapshot("c_total", {})).ok());
+    ASSERT_TRUE(registry.MergeSnapshot(HistogramSnapshot({1.0, 2.0}, 3)).ok());
+  }
+  std::vector<std::pair<std::string, std::string>> corpus;
+  corpus.emplace_back("empty input", "");
+  {
+    // Every proper prefix of a real snapshot is truncated.
+    MetricsRegistry source;
+    PopulatedRegistry(&source);
+    const std::string full = source.EncodeSnapshot();
+    for (size_t n = 0; n < full.size(); ++n) {
+      corpus.emplace_back("prefix " + std::to_string(n), full.substr(0, n));
+    }
+    corpus.emplace_back("trailing byte", full + '\0');
+  }
+  const uint64_t hostile = uint64_t{1} << 62;
+  {
+    BinaryWriter writer;
+    writer.WriteVarint(hostile);
+    corpus.emplace_back("hostile series count", writer.buffer());
+  }
+  {
+    BinaryWriter writer;
+    writer.WriteVarint(1);
+    writer.WriteUint8(0);
+    writer.WriteString("c_total");
+    writer.WriteVarint(hostile);
+    corpus.emplace_back("hostile label count", writer.buffer());
+  }
+  {
+    BinaryWriter writer;
+    writer.WriteVarint(1);
+    writer.WriteUint8(0);
+    writer.WriteVarint(~uint64_t{0});  // name length near 2^64
+    writer.WriteString("c_total");
+    corpus.emplace_back("hostile string length", writer.buffer());
+  }
+  {
+    BinaryWriter writer;
+    writer.WriteVarint(1);
+    WriteSeriesHead(writer, 2, "lat", {});
+    writer.WriteVarint(hostile);
+    corpus.emplace_back("hostile bounds count", writer.buffer());
+  }
+  {
+    BinaryWriter writer;
+    writer.WriteVarint(1);
+    WriteSeriesHead(writer, 2, "lat", {});
+    writer.WriteDoubleVector({1.0});
+    writer.WriteVarint(2);
+    corpus.emplace_back("buckets truncated", writer.buffer());
+  }
+  {
+    BinaryWriter writer;
+    writer.WriteVarint(1);
+    WriteSeriesHead(writer, 3, "c_total", {});
+    writer.WriteUint64(1);
+    corpus.emplace_back("unknown kind", writer.buffer());
+  }
+  corpus.emplace_back("descending bounds", HistogramSnapshot({2.0, 1.0}, 3));
+  corpus.emplace_back("repeated bound", HistogramSnapshot({1.0, 1.0}, 3));
+  corpus.emplace_back("NaN bound",
+                      HistogramSnapshot({std::nan(""), 1.0}, 3));
+  corpus.emplace_back("too few buckets", HistogramSnapshot({1.0, 2.0}, 2));
+  corpus.emplace_back("too many buckets", HistogramSnapshot({1.0, 2.0}, 4));
+  corpus.emplace_back("bad metric name", CounterSnapshot("9lives", {}));
+  corpus.emplace_back("bad label name",
+                      CounterSnapshot("c_total", {{"bad-name", "v"}}));
+
+  MetricsRegistry registry;
+  for (const auto& [what, bytes] : corpus) {
+    const Status status = registry.MergeSnapshot(bytes);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << what;
+  }
+  EXPECT_EQ(registry.MergeSnapshot(CounterSnapshot("c_total", {}),
+                                   {{"bad-name", "v"}})
+                .code(),
+            StatusCode::kDataLoss);
+  // Every input fails while decoding, before anything merges.
   EXPECT_EQ(registry.RenderPrometheus(), "");
+}
+
+TEST(MetricsSnapshotTest, KindAndBoundsConflictsAreStatusesNotAborts) {
+  MetricsRegistry registry;
+  registry.GetGauge("c_total", "")->Set(1.0);
+  registry.GetHistogram("lat", {5.0}, "");
+  EXPECT_EQ(registry.MergeSnapshot(CounterSnapshot("c_total", {})).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(registry.MergeSnapshot(HistogramSnapshot({1.0, 2.0}, 3)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_DOUBLE_EQ(registry.GetGauge("c_total", "")->value(), 1.0);
+  EXPECT_EQ(registry.GetHistogram("lat", {5.0}, "")->count(), 0u);
 }
 
 TEST(MetricsSnapshotTest, ConstLabelsApplyToTheWholeExposition) {

@@ -181,6 +181,29 @@ TEST(QueryClientTest, NonRetriableTypedErrorIsNotRetried) {
   EXPECT_EQ(server.calls(), 1);
 }
 
+TEST(QueryClientTest, UnsupportedVersionAnswerIsReturnedWithoutRetry) {
+  // What a peer of another wire version answers to any frame of ours.
+  FakeServer server([](int, MessageType, const std::string&) {
+    ErrorResponse error;
+    error.code = WireError::kUnsupportedVersion;
+    error.retriable = WireErrorRetriable(error.code);
+    error.message = "unsupported protocol version";
+    return EncodeFrame(MessageType::kErrorResponse,
+                       EncodeErrorResponse(error));
+  });
+  QueryClient client(FastRetryOptions(server.port()));
+  TemporalQueryRequest request;
+  request.text = "goal";
+  const auto response = client.TemporalQuery(request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kUnimplemented);
+  const auto train = client.Train();
+  ASSERT_FALSE(train.ok());
+  EXPECT_EQ(train.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(client.retries_performed(), 0u);
+  EXPECT_EQ(server.calls(), 2);
+}
+
 TEST(QueryClientTest, TransportFailureRetriesIdempotentRequests) {
   // First connection is dropped mid-exchange (scripted disconnect);
   // Health is idempotent so the client reconnects and retries.

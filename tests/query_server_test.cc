@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -13,6 +14,7 @@
 #include "api/video_database.h"
 #include "client/query_client.h"
 #include "common/socket.h"
+#include "observability/trace_codec.h"
 #include "server/wire_protocol.h"
 #include "test_util.h"
 
@@ -170,10 +172,40 @@ TEST(QueryServerTest, WantTraceReturnsServerSideTrace) {
   request.want_trace = true;
   const auto response = client.TemporalQuery(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  // One JSONL record per span; the root retrieval span is always there.
-  EXPECT_NE(response->trace_jsonl.find("\"name\""), std::string::npos);
-  EXPECT_NE(response->trace_jsonl.find("\"elapsed_ms\""), std::string::npos);
-  EXPECT_NE(response->trace_jsonl.find('\n'), std::string::npos);
+  // The blob decodes to the server_query span over the traversal's
+  // phase spans, and renders as one JSONL record per span.
+  const auto spans = DeserializeSpans(response->trace_blob);
+  ASSERT_TRUE(spans.ok()) << spans.status().ToString();
+  ASSERT_GT(spans->size(), 1u);
+  EXPECT_EQ((*spans)[0].name, "server_query");
+  const std::string jsonl = RenderSpansJsonl(*spans);
+  EXPECT_NE(jsonl.find("\"elapsed_ms\""), std::string::npos);
+  EXPECT_EQ(static_cast<size_t>(std::count(jsonl.begin(), jsonl.end(), '\n')),
+            spans->size());
+}
+
+TEST(QueryServerTest, WireStatsCarryHeapPops) {
+  VideoDatabase db = MakeDatabase();
+  QueryServer server(&db);
+  ASSERT_TRUE(server.Start().ok());
+  VideoDatabase in_process = MakeDatabase();
+
+  QueryClient client(ClientOptions(server.port()));
+  for (const char* text : {"free_kick ; goal", "corner_kick ; goal"}) {
+    SCOPED_TRACE(text);
+    TemporalQueryRequest request;
+    request.text = text;
+    request.want_stats = true;
+    const auto response = client.TemporalQuery(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->has_stats);
+    RetrievalStats stats;
+    ASSERT_TRUE(in_process.Query(text, &stats).ok());
+    EXPECT_GT(stats.heap_pops, 0u);
+    EXPECT_EQ(response->stats.heap_pops, stats.heap_pops);
+    EXPECT_EQ(response->stats.states_visited, stats.states_visited);
+    EXPECT_EQ(response->stats.sim_evaluations, stats.sim_evaluations);
+  }
 }
 
 TEST(QueryServerTest, SaturatedAdmissionShedsRetriablyAndClientRecovers) {
@@ -495,6 +527,86 @@ TEST(QueryServerRawTest, PipelinedSupersededGenerationIsNotExecuted) {
   const auto expected = db.Query("corner_kick ; goal");
   ASSERT_TRUE(expected.ok());
   ExpectSameRanking(*expected, decoded->results);
+}
+
+TEST(QueryServerRawTest, UndecodableQueryInAPipelinedBatchIsMalformed) {
+  VideoDatabase db = MakeDatabase();
+  QueryServer server(&db);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto socket = TcpConnect("127.0.0.1", server.port(),
+                           std::chrono::milliseconds(2000));
+  ASSERT_TRUE(socket.ok());
+  TemporalQueryRequest good;
+  good.text = "corner_kick ; goal";
+  good.cancel_generation = 1;
+  // A well-framed TemporalQuery whose payload does not decode, pipelined
+  // in one batch ahead of a good one: the batch's single decode pass
+  // must answer it kMalformedPayload and still serve the good one.
+  const std::string burst =
+      EncodeFrame(MessageType::kTemporalQueryRequest, "garbage") +
+      EncodeFrame(MessageType::kTemporalQueryRequest,
+                  EncodeTemporalQueryRequest(good));
+  const auto deadline = DeadlineAfter(std::chrono::milliseconds(5000));
+  ASSERT_TRUE(WriteAll(socket->fd(), burst, deadline).ok());
+
+  FrameHeader header;
+  auto first = ReadFrame(socket->fd(), &header);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(header.type, MessageType::kErrorResponse);
+  const auto error = DecodeErrorResponse(*first);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->code, WireError::kMalformedPayload);
+
+  auto second = ReadFrame(socket->fd(), &header);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(header.type, MessageType::kTemporalQueryResponse);
+  const auto decoded = DecodeTemporalQueryResponse(*second);
+  ASSERT_TRUE(decoded.ok());
+  const auto expected = db.Query("corner_kick ; goal");
+  ASSERT_TRUE(expected.ok());
+  ExpectSameRanking(*expected, decoded->results);
+
+  // The connection stays usable.
+  ASSERT_TRUE(
+      WriteAll(socket->fd(), EncodeFrame(MessageType::kHealthRequest, ""),
+               deadline)
+          .ok());
+  ASSERT_TRUE(ReadFrame(socket->fd(), &header).ok());
+  EXPECT_EQ(header.type, MessageType::kHealthResponse);
+}
+
+TEST(QueryServerRawTest, OlderWireVersionGetsTypedRefusal) {
+  VideoDatabase db = MakeDatabase();
+  QueryServer server(&db);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto socket = TcpConnect("127.0.0.1", server.port(),
+                           std::chrono::milliseconds(2000));
+  ASSERT_TRUE(socket.ok());
+  TemporalQueryRequest request;
+  request.text = "free_kick ; goal";
+  // A v3 peer's frame: same header layout, older version stamp.
+  std::string frame = EncodeFrame(MessageType::kTemporalQueryRequest,
+                                   EncodeTemporalQueryRequest(request));
+  frame[4] = 3;
+  frame[5] = 0;
+  const auto deadline = DeadlineAfter(std::chrono::milliseconds(5000));
+  ASSERT_TRUE(WriteAll(socket->fd(), frame, deadline).ok());
+
+  FrameHeader header;
+  const auto payload = ReadFrame(socket->fd(), &header);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_EQ(header.version, kWireProtocolVersion);
+  ASSERT_EQ(header.type, MessageType::kErrorResponse);
+  const auto error = DecodeErrorResponse(*payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->code, WireError::kUnsupportedVersion);
+  EXPECT_FALSE(error->retriable);
+  // Then the server closes: nothing past the header can be trusted.
+  char byte;
+  EXPECT_EQ(ReadExact(socket->fd(), &byte, 1, deadline).code(),
+            StatusCode::kNotFound);
 }
 
 TEST(QueryServerRawTest, UnknownRequestTagAnsweredAndConnectionSurvives) {

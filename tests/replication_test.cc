@@ -728,27 +728,6 @@ TEST(ReplicationTest, WireReloadRoundTripAndLeafRejection) {
   (*server)->Shutdown();
 }
 
-TEST(ReplicationTest, V1MapServesWithoutReplicas) {
-  // A legacy (v1) map blob — no replicas, no epoch — must still drive a
-  // working deployment: single-endpoint ranges, epoch fence at 0.
-  std::unique_ptr<ReplicatedDeployment> deployment =
-      MakeReplicatedDeployment(2, 1);
-  StatusOr<ShardMap> reloaded = DeserializeShardMap(
-      SerializeShardMap(deployment->map, /*version=*/1));
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded->epoch, 0u);
-
-  StatusOr<std::unique_ptr<CoordinatorService>> coordinator =
-      CoordinatorService::Create(*reloaded, QuietOptions());
-  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
-  TemporalQueryRequest request;
-  request.text = "goal";
-  StatusOr<TemporalQueryResponse> response =
-      (*coordinator)->TemporalQuery(request, nullptr);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_FALSE(response->degraded);
-}
-
 TEST(ReplicationTest, TrainBroadcastsToEveryReplica) {
   std::unique_ptr<ReplicatedDeployment> deployment =
       MakeReplicatedDeployment(2, 2);

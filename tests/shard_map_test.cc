@@ -7,6 +7,7 @@
 
 #include "api/catalog_partition.h"
 #include "api/video_database.h"
+#include "common/serialization.h"
 #include "test_util.h"
 
 namespace hmmm {
@@ -131,23 +132,48 @@ TEST(ShardMapTest, V2RoundTripsReplicasAndEpoch) {
                                       "127.0.0.1:9201"}));
 }
 
-TEST(ShardMapTest, V1BlobLoadsWithoutReplicasOrEpoch) {
-  // A map written by the previous release (v1 layout) must still load:
-  // replicas empty, epoch 0 — exactly the pre-replication semantics.
+TEST(ShardMapTest, WritesTheV2LayoutByteForByte) {
   ShardMap map = TwoShardMap();
   map.epoch = 42;
   map.shards[0].replica_endpoints = {"127.0.0.1:9101"};
-  const std::string blob = SerializeShardMap(map, /*version=*/1);
-  StatusOr<ShardMap> restored = DeserializeShardMap(blob);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->epoch, 0u);
-  for (const ShardMapEntry& entry : restored->shards) {
-    EXPECT_TRUE(entry.replica_endpoints.empty());
+  BinaryWriter w;
+  w.WriteInt64(4);
+  w.WriteInt64(6);
+  w.WriteVarint(42);
+  w.WriteVarint(2);
+  for (const ShardMapEntry& entry : map.shards) {
+    w.WriteString(entry.endpoint);
+    w.WriteVarint(entry.replica_endpoints.size());
+    for (const std::string& replica : entry.replica_endpoints) {
+      w.WriteString(replica);
+    }
+    w.WriteInt32(entry.video_begin);
+    w.WriteInt32(entry.video_end);
+    w.WriteInt32Vector(entry.shot_to_global);
   }
-  // Everything v1 carried survives the downgrade.
-  EXPECT_EQ(restored->shards[0].endpoint, map.shards[0].endpoint);
-  EXPECT_EQ(restored->shards[1].shot_to_global,
-            map.shards[1].shot_to_global);
+  EXPECT_EQ(SerializeShardMap(map),
+            WrapChecksummed(kShardMapMagic, 2, w.buffer()));
+}
+
+TEST(ShardMapTest, V1BlobIsRefusedAsDataLoss) {
+  // The replica-less v1 layout: totals, shard count, then per shard
+  // endpoint + range + shots. Well formed and checksummed, but not the
+  // one format this build reads.
+  const ShardMap map = TwoShardMap();
+  BinaryWriter w;
+  w.WriteInt64(map.total_videos);
+  w.WriteInt64(map.total_shots);
+  w.WriteVarint(map.shards.size());
+  for (const ShardMapEntry& entry : map.shards) {
+    w.WriteString(entry.endpoint);
+    w.WriteInt32(entry.video_begin);
+    w.WriteInt32(entry.video_end);
+    w.WriteInt32Vector(entry.shot_to_global);
+  }
+  const StatusOr<ShardMap> restored =
+      DeserializeShardMap(WrapChecksummed(kShardMapMagic, 1, w.buffer()));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(ShardMapTest, V2BlobRejectsCorruptionInTheReplicaSection) {

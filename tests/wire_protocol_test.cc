@@ -219,7 +219,8 @@ TEST(CodecTest, TemporalQueryResponseBitExact) {
   response.stats.truncated = true;
   response.stats.degraded = true;
   response.stats.videos_skipped = 9;
-  response.trace_jsonl = "{\"span\":\"traversal\"}\n";
+  response.stats.heap_pops = 0x0123456789ABCDEFull;
+  response.trace_blob = std::string("\x01\x00\xff", 3);
 
   const auto decoded =
       DecodeTemporalQueryResponse(EncodeTemporalQueryResponse(response));
@@ -241,7 +242,8 @@ TEST(CodecTest, TemporalQueryResponseBitExact) {
   EXPECT_TRUE(decoded->stats.truncated);
   EXPECT_TRUE(decoded->stats.degraded);
   EXPECT_EQ(decoded->stats.videos_skipped, 9u);
-  EXPECT_EQ(decoded->trace_jsonl, response.trace_jsonl);
+  EXPECT_EQ(decoded->stats.heap_pops, response.stats.heap_pops);
+  EXPECT_EQ(decoded->trace_blob, response.trace_blob);
 }
 
 TEST(CodecTest, QbeRoundTrips) {
@@ -316,7 +318,7 @@ TEST(CodecTest, ErrorResponseRoundTrips) {
   EXPECT_EQ(decoded->message, error.message);
 }
 
-// -- v2 trace fields and mixed-version codecs -----------------------------
+// -- Trace fields and the version stamp ----------------------------------
 
 TEST(CodecV2Test, TraceContextFieldsRoundTrip) {
   TemporalQueryRequest request;
@@ -363,11 +365,11 @@ TEST(CodecV2Test, TraceContextFieldsRoundTrip) {
 
   MetricsResponse metrics;
   metrics.prometheus_text = "x 1\n";
-  metrics.json_snapshot = "{\"v\":1,\"metrics\":[]}";
+  metrics.snapshot = std::string("\x00\x01\xfe", 3);
   const auto decoded_metrics =
       DecodeMetricsResponse(EncodeMetricsResponse(metrics));
   ASSERT_TRUE(decoded_metrics.ok());
-  EXPECT_EQ(decoded_metrics->json_snapshot, metrics.json_snapshot);
+  EXPECT_EQ(decoded_metrics->snapshot, metrics.snapshot);
 
   DumpSlowQueriesResponse slow;
   slow.jsonl = "{\"reason\":\"slow\"}\n";
@@ -375,36 +377,6 @@ TEST(CodecV2Test, TraceContextFieldsRoundTrip) {
       DecodeDumpSlowQueriesResponse(EncodeDumpSlowQueriesResponse(slow));
   ASSERT_TRUE(decoded_slow.ok());
   EXPECT_EQ(decoded_slow->jsonl, slow.jsonl);
-}
-
-TEST(CodecV2Test, V1EncodingOmitsTraceFields) {
-  // Encoding at v1 must stop before the v2 fields — byte-compatible with
-  // an old peer — and decoding those bytes at v1 leaves them defaulted.
-  TemporalQueryRequest request;
-  request.text = "goal";
-  request.trace_id_hi = 99;
-  request.trace_id_lo = 98;
-  request.parent_span_id = 97;
-  const std::string v1 = EncodeTemporalQueryRequest(request, 1);
-  const std::string v2 = EncodeTemporalQueryRequest(request, 2);
-  EXPECT_LT(v1.size(), v2.size());
-  const auto decoded = DecodeTemporalQueryRequest(v1, 1);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->text, "goal");
-  EXPECT_EQ(decoded->trace_id_hi, 0u);
-  EXPECT_EQ(decoded->trace_id_lo, 0u);
-  EXPECT_EQ(decoded->parent_span_id, 0u);
-  // A v2 decode of v1 bytes fails (truncated), and vice versa a v1
-  // decode of v2 bytes fails (trailing bytes) — versions don't blur.
-  EXPECT_FALSE(DecodeTemporalQueryRequest(v1, 2).ok());
-
-  TemporalQueryResponse response;
-  response.results = {MakePattern(0.5)};
-  response.trace_blob = "blob";
-  const std::string resp_v1 = EncodeTemporalQueryResponse(response, 1);
-  const auto decoded_resp = DecodeTemporalQueryResponse(resp_v1, 1);
-  ASSERT_TRUE(decoded_resp.ok());
-  EXPECT_TRUE(decoded_resp->trace_blob.empty());
 }
 
 TEST(CodecV2Test, TruncatedV2PayloadsRejected) {
@@ -431,21 +403,22 @@ TEST(CodecV2Test, TruncatedV2PayloadsRejected) {
 }
 
 TEST(CodecV2Test, FrameVersionParameterIsStamped) {
-  const std::string frame =
-      EncodeFrame(MessageType::kHealthRequest, "", 1);
+  std::string frame = EncodeFrame(MessageType::kTemporalQueryRequest, "x");
   FrameHeader header;
   ASSERT_EQ(DecodeFrameHeader(frame, kDefaultMaxFrameBytes, &header),
             WireError::kNone);
-  EXPECT_EQ(header.version, 1u);
-  // A v1-capped decoder (an old server) rejects a v2-stamped frame but
-  // still fills the header so it can answer typed.
-  const std::string v2_frame =
-      EncodeFrame(MessageType::kTemporalQueryRequest, "x", 2);
-  EXPECT_EQ(DecodeFrameHeader(v2_frame, kDefaultMaxFrameBytes, &header,
-                              /*max_version=*/1),
-            WireError::kUnsupportedVersion);
-  EXPECT_EQ(header.type, MessageType::kTemporalQueryRequest);
-  EXPECT_EQ(header.payload_bytes, 1u);
+  EXPECT_EQ(header.version, 4u);
+  // Every other version, older or newer, is refused, but the header is
+  // still filled so the receiver can answer typed.
+  for (const uint16_t other : {1, 2, 3, 5}) {
+    frame[4] = static_cast<char>(other);
+    EXPECT_EQ(DecodeFrameHeader(frame, kDefaultMaxFrameBytes, &header),
+              WireError::kUnsupportedVersion)
+        << "version " << other;
+    EXPECT_EQ(header.version, other);
+    EXPECT_EQ(header.type, MessageType::kTemporalQueryRequest);
+    EXPECT_EQ(header.payload_bytes, 1u);
+  }
 }
 
 TEST(MessageTypeTest, DumpSlowQueriesIsARequest) {
